@@ -1,16 +1,9 @@
 """Setup shim for environments without the `wheel` package.
 
-The canonical metadata lives in pyproject.toml; this file only enables
-legacy editable installs (`pip install -e .`) on offline machines where
-PEP 660 wheel building is unavailable.
+All metadata lives in pyproject.toml; this file only enables legacy
+editable installs (`pip install -e .`) on offline machines where PEP 660
+wheel building is unavailable.
 """
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.2.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=["numpy"],
-)
+setup()

@@ -14,7 +14,6 @@ applies the classic minimality principle the paper describes in its
 introduction; it is used by the ablation benchmarks.
 """
 
-from repro.baselines.detectors import ErrorDetector, PerfectDetector, ViolationDetector
 from repro.baselines.factor_graph import (
     CellFactorGraph,
     FactorGraphRepairer,
@@ -23,9 +22,9 @@ from repro.baselines.factor_graph import (
 )
 from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig, HoloCleanReport
 from repro.baselines.minimal_repair import MinimalityRepairer, MinimalRepairReport
+from repro.detect import PerfectDetector, ViolationDetector
 
 __all__ = [
-    "ErrorDetector",
     "PerfectDetector",
     "ViolationDetector",
     "CellFactorGraph",

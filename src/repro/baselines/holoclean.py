@@ -5,8 +5,8 @@ time: an external detector marks noisy cells, a statistical model is trained
 on the clean partition, and every noisy cell is assigned its most probable
 candidate value.  The paper runs it with a 100 %-accuracy detector so only
 repair quality is compared; :class:`HoloCleanBaseline` defaults to the same
-setting via :class:`~repro.baselines.detectors.PerfectDetector` when a ground
-truth is supplied.
+setting via :class:`~repro.detect.PerfectDetector` when a ground truth is
+supplied.
 
 Two properties of the original system — both discussed in Section 7.2 of the
 paper — are deliberately preserved:
@@ -24,11 +24,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.baselines.detectors import ErrorDetector, PerfectDetector, ViolationDetector
 from repro.baselines.factor_graph import CellFactorGraph
 from repro.constraints.rules import Rule
 from repro.core.report import CleaningReport
 from repro.dataset.table import Cell, Table
+from repro.detect import Detector, PerfectDetector, ViolationDetector
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
@@ -105,7 +105,7 @@ class HoloCleanBaseline:
         dirty: Table,
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
-        detector: Optional[ErrorDetector] = None,
+        detector: Optional[Detector] = None,
     ) -> HoloCleanReport:
         """Run detection, training and repair on ``dirty``.
 

@@ -35,7 +35,7 @@ from repro.constraints.rules import Rule
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.report import CleaningReport
-from repro.core.stages import DEFAULT_STAGES, StageContext, build_stages
+from repro.core.stages import StageContext, build_stages
 from repro.dataset.table import Table
 from repro.detect.run import CleaningScope, run_detection
 from repro.errors.groundtruth import GroundTruth
@@ -58,12 +58,12 @@ class MLNClean:
     ``None`` keeps the paper's AGP → RSC → FSCR → dedup sequence, with the
     dedup stage honouring ``config.remove_duplicates``.
 
-    ``parallelism=N`` (N > 1) cleans the independent Stage-I blocks in N
-    worker processes and merges their outcomes deterministically — the
-    cleaned table, F1 and stage outcomes are bit-identical to a serial run;
-    only wall-clock changes.  Parallel Stage I requires the default stage
-    order (custom sequences may interleave Stage-I stages with stages that
-    observe cross-block state, so they stay serial).
+    ``parallelism=N`` (N > 1) lets the ``agp`` and ``rsc`` stages run their
+    independent per-block calls in N forked worker processes, merging the
+    outcomes in block order — the cleaned table, F1 and stage outcomes are
+    bit-identical to a serial run; only wall-clock (still reported as
+    separate ``agp`` and ``rsc`` phases) changes.  It composes with custom
+    stage orders and detectors like any other run.
 
     ``detectors`` is an optional error-detection stack (detector specs, see
     :mod:`repro.detect`) run before the index build.  The result scopes the
@@ -83,16 +83,6 @@ class MLNClean:
     ):
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if parallelism > 1 and stages is not None:
-            raise ValueError(
-                "parallel Stage I requires the default stage order; "
-                "drop the custom stages or run with parallelism=1"
-            )
-        if parallelism > 1 and detectors is not None:
-            raise ValueError(
-                "dirty-cell-scoped cleaning is serial-only; "
-                "drop the detectors or run with parallelism=1"
-            )
         self.config = config or MLNCleanConfig()
         self.stages = list(stages) if stages is not None else None
         self.parallelism = parallelism
@@ -114,7 +104,12 @@ class MLNClean:
             raise ValueError("MLNClean needs at least one integrity constraint")
         timings = TimingBreakdown()
         instrument = self.config.instrument and ground_truth is not None
-        context = StageContext(dirty=dirty, rules=list(rules), config=self.config)
+        context = StageContext(
+            dirty=dirty,
+            rules=list(rules),
+            config=self.config,
+            parallelism=self.parallelism,
+        )
         # One shared distance engine for the whole run: AGP, RSC, FSCR and
         # dedup all read/write the same cache, and its counters end up in the
         # report's PerfDetails.
@@ -172,7 +167,7 @@ class MLNClean:
 
             # The stage sequence (Stage I lines 14-17, Stage II line 18 +
             # dedup).
-            for stage in self._build_stage_sequence():
+            for stage in build_stages(self.stages, self.config):
                 with stage_scope(timings, "batch", stage.name):
                     stage.run(context)
 
@@ -215,28 +210,6 @@ class MLNClean:
             payload["scoped_blocks"] = context.scope.selected_block_names()
             payload["affected_tuples"] = len(context.scope.tids)
         return payload
-
-    def _build_stage_sequence(self):
-        """The stage instances of this run.
-
-        Serial runs use the registered stages verbatim; ``parallelism>1``
-        fuses the leading ``agp`` + ``rsc`` pair into one process-parallel
-        Stage-I step and keeps Stage II (fscr, dedup) serial.
-        """
-        if self.parallelism <= 1:
-            return build_stages(self.stages, self.config)
-        from repro.perf.parallel import ParallelStageOne
-
-        stage_two = [
-            name
-            for name in DEFAULT_STAGES
-            if name not in ("agp", "rsc")
-            and (name != "dedup" or self.config.remove_duplicates)
-        ]
-        return [
-            ParallelStageOne(self.config, self.parallelism),
-            *build_stages(stage_two, self.config),
-        ]
 
     def clean_table(self, dirty: Table, rules: Sequence[Rule]) -> Table:
         """Convenience wrapper returning only the cleaned table."""

@@ -13,19 +13,27 @@ so a session can reorder, disable, or extend the sequence::
 
 Stage contracts (what each built-in stage consumes and produces):
 
-* ``agp``   — mutates ``context.blocks`` in place (group merges),
-* ``rsc``   — mutates ``context.blocks`` in place (weights + γ repairs),
+* ``agp``   — rewrites the selected ``context.blocks`` (group merges),
+* ``rsc``   — rewrites the selected ``context.blocks`` (weights + γ repairs),
 * ``fscr``  — reads ``context.blocks``, sets ``context.repaired``,
 * ``dedup`` — reads ``context.repaired`` (errors when no earlier stage set
   it), sets ``context.cleaned`` and ``context.dedup``.
 
 Every stage records its outcome under its name in ``context.outcomes``; the
 pipeline assembles the typed report fields (``report.agp`` etc.) from there.
+
+This module is the only code that runs the algorithm's steps.  The backends
+only schedule them: batch runs every stage once over all blocks (stage-major,
+the per-block calls of ``agp``/``rsc`` optionally fanned out to forked
+workers by ``context.parallelism``), streaming runs ``agp`` then ``rsc`` per
+dirtied block and re-fuses the affected tuples with
+:meth:`FSCRStage.fuse_tuples`, and the distributed driver runs ``fscr`` and
+``dedup`` over the gathered partition blocks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
@@ -34,14 +42,15 @@ from repro.constraints.rules import Rule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detect.base import DirtyCells
     from repro.detect.run import CleaningScope
-from repro.core.agp import AbnormalGroupProcessor
+from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
 from repro.core.config import MLNCleanConfig
 from repro.core.dedup import DeduplicationResult, remove_duplicates
 from repro.core.fscr import FSCROutcome, FusionScoreResolver
 from repro.core.index import Block
-from repro.core.rsc import ReliabilityScoreCleaner
+from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.dataset.table import Cell, Table
 from repro.perf.engine import DistanceEngine
+from repro.perf.parallel import map_blocks
 from repro.registry import Registry
 
 #: tid → ground-truth clean values of that tuple (instrumentation only)
@@ -81,6 +90,44 @@ class StageContext:
     #: ran or the detection covered every cell (the exact-or-prune pivot:
     #: a ``None`` scope is exactly today's unscoped code path)
     scope: Optional["CleaningScope"] = None
+    #: worker processes the Stage-I stages may fan their blocks out to
+    parallelism: int = 1
+
+
+def merge_stage_outcomes(
+    agp_outcomes: Iterable[AGPOutcome],
+    rsc_outcomes: Iterable[RSCOutcome],
+) -> tuple[AGPOutcome, RSCOutcome]:
+    """Deterministically fold per-block / per-partition Stage-I outcomes.
+
+    The fold order is the iteration order of the inputs, which callers keep
+    at block order (the Stage-I stages) or partition order (the distributed
+    driver), so merged ``StageCounts``, merge lists and repair lists are
+    identical to what a serial run accumulates.
+    """
+    return _fold(AGPOutcome(), agp_outcomes), _fold(RSCOutcome(), rsc_outcomes)
+
+
+def _fold(total, outcomes: Iterable):
+    for outcome in outcomes:
+        total.extend(outcome)
+    return total
+
+
+def _map_selected_blocks(
+    context: StageContext, task: Callable[[Block], object], engine: DistanceEngine
+) -> list:
+    """``task`` over the blocks the scope selects, outcomes in block order.
+
+    Forked workers return mutated copies of their blocks; those replace the
+    originals in ``context.blocks`` (in process, they are the originals).
+    """
+    scope = context.scope
+    blocks = context.blocks if scope is None else scope.select_blocks(context.blocks)
+    results = map_blocks(task, blocks, context.parallelism, engine)
+    adopted = {id(old): new for old, (new, _) in zip(blocks, results)}
+    context.blocks = [adopted.get(id(block), block) for block in context.blocks]
+    return [outcome for _, outcome in results]
 
 
 @runtime_checkable
@@ -96,7 +143,7 @@ class Stage(Protocol):
 
 
 class AGPStage:
-    """Stage I, part 1: abnormal group processing on every block.
+    """Stage I, part 1: abnormal group processing, one block at a time.
 
     Under a dirty-cell scope, only the blocks containing detected cells are
     enumerated, and only the abnormal groups holding an affected tuple are
@@ -112,13 +159,14 @@ class AGPStage:
     def run(self, context: StageContext) -> None:
         if context.engine is not None:
             self._processor.engine = context.engine
-        scope = context.scope
-        blocks = context.blocks if scope is None else scope.select_blocks(context.blocks)
-        context.outcomes[self.name] = self._processor.process_index(
-            blocks,
-            context.clean_lookup,
-            group_filter=None if scope is None else scope.selects_group,
+        lookup = context.clean_lookup
+        group_filter = None if context.scope is None else context.scope.selects_group
+        outcomes = _map_selected_blocks(
+            context,
+            lambda block: self._processor.process_block(block, lookup, group_filter),
+            self._processor.engine,
         )
+        context.outcomes[self.name] = _fold(AGPOutcome(), outcomes)
 
 
 class RSCStage:
@@ -138,13 +186,16 @@ class RSCStage:
     def run(self, context: StageContext) -> None:
         if context.engine is not None:
             self._cleaner.engine = context.engine
-        scope = context.scope
-        blocks = context.blocks if scope is None else scope.select_blocks(context.blocks)
-        context.outcomes[self.name] = self._cleaner.clean_index(
-            blocks,
-            context.clean_lookup,
-            group_filter=None if scope is None else scope.selects_group,
+        lookup = context.clean_lookup
+        group_filter = None if context.scope is None else context.scope.selects_group
+        outcomes = _map_selected_blocks(
+            context,
+            lambda block: self._cleaner.clean_block(
+                block, lookup, group_filter=group_filter
+            ),
+            self._cleaner.engine,
         )
+        context.outcomes[self.name] = _fold(RSCOutcome(), outcomes)
 
 
 class FSCRStage:
@@ -169,7 +220,12 @@ class FSCRStage:
                 context.dirty, context.blocks, context.clean_lookup, context.dirty_cells
             )
         else:
-            outcome = self._resolve_scoped(context, scope)
+            outcome = self.fuse_tuples(
+                context,
+                [tid for tid in context.dirty.tids if tid in scope.tids],
+                scope.select_blocks(context.blocks),
+                context.dirty.copy(name=f"{context.dirty.name}-repaired"),
+            )
         context.outcomes[self.name] = outcome
         context.repaired = outcome.repaired
         # A fresh repaired table invalidates anything derived from an older
@@ -177,22 +233,32 @@ class FSCRStage:
         context.cleaned = None
         context.dedup = None
 
-    def _resolve_scoped(self, context: StageContext, scope) -> FSCROutcome:
-        """Fuse only the affected tuples and patch them into a full copy."""
-        repaired = context.dirty.copy(name=f"{context.dirty.name}-repaired")
-        live = [tid for tid in context.dirty.tids if tid in scope.tids]
-        if not live:
-            return FSCROutcome(repaired=repaired)
-        blocks = scope.select_blocks(context.blocks)
-        subset = context.dirty.subset(live, name=context.dirty.name)
+    def fuse_tuples(
+        self,
+        context: StageContext,
+        tids: Sequence[int],
+        blocks: list[Block],
+        target: Table,
+    ) -> FSCROutcome:
+        """Fuse the tuples ``tids`` of ``context.dirty`` against ``blocks``.
+
+        The fused rows are patched into ``target``, which becomes the
+        outcome's ``repaired`` table; rows of every other tuple in it stay
+        as they are.  Scoped batch runs patch a copy of the dirty table;
+        the streaming engine patches its maintained repaired table.
+        """
+        if context.engine is not None:
+            self._resolver.engine = context.engine
+        if not tids:
+            return FSCROutcome(repaired=target)
+        subset = context.dirty.subset(tids, name=context.dirty.name)
         outcome = self._resolver.resolve(
             subset, blocks, context.clean_lookup, context.dirty_cells
         )
-        for tid in live:
-            fused_row = outcome.repaired.row(tid).as_dict()
-            for attribute, value in fused_row.items():
-                repaired.set_value(tid, attribute, value)
-        outcome.repaired = repaired
+        for tid in tids:
+            for attribute, value in outcome.repaired.row(tid).as_dict().items():
+                target.set_value(tid, attribute, value)
+        outcome.repaired = target
         return outcome
 
 

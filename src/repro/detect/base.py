@@ -6,7 +6,7 @@ any repair runs.  HoloClean treats it as a first-class pluggable phase
 ports that shape:
 
 * :class:`Detector` — the protocol (``detect(table, rules) -> set[Cell]``),
-  identical to the historical ``baselines.detectors.ErrorDetector`` ABC so
+  identical to the historical ``ErrorDetector`` ABC of the baselines so
   existing detector subclasses keep working unchanged.
 * :class:`DirtyCells` — the union result of a detector stack, with
   per-detector provenance and precision/recall against an injected-error

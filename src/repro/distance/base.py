@@ -28,9 +28,9 @@ class DistanceMetric(ABC):
     #: distances (true for the Levenshtein family); enables the shared
     #: fast-path preprocessing of :class:`repro.perf.DistanceEngine`
     affix_safe: bool = False
-    #: whether the banded early-exit search of
-    #: :meth:`repro.perf.DistanceEngine.bounded_distance` computes this
-    #: metric exactly (only plain Levenshtein)
+    #: whether the banded early-exit search behind the bounded distances of
+    #: :class:`repro.perf.DistanceEngine` computes this metric exactly (only
+    #: plain Levenshtein)
     supports_banded: bool = False
     #: how many bound-destroying edit operations one q-gram mismatch may
     #: correspond to for this metric, or ``None`` when the q-gram count

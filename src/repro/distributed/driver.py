@@ -9,11 +9,11 @@ The pipeline mirrors the Spark deployment:
 3. **Global weight fusion**: the driver combines the per-part weights with
    Eq. 6 so every γ has a single global weight.
 4. **Worker phase 2 — clean**: each worker overwrites its local weights with
-   the global ones, runs RSC and FSCR on its part and emits the repaired
-   part.
-5. **Gather**: the driver concatenates the repaired parts, eliminates
-   duplicates globally and (optionally) evaluates accuracy against the
-   ground truth.
+   the global ones and runs RSC on its part's blocks.
+5. **Gather**: the driver runs the registered ``fscr`` and ``dedup`` stages
+   over the blocks of all parts — fusion with a global candidate pool, then
+   global duplicate elimination — and (optionally) evaluates accuracy
+   against the ground truth.
 
 Workers are simulated (run in-process); both the sequential total and the
 parallel makespan are reported, which is what Figure 15 and Table 6 need.
@@ -21,18 +21,18 @@ parallel makespan are reported, which is what Figure 15 and Table 6 need.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.constraints.rules import Rule
 from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
 from repro.core.config import MLNCleanConfig
-from repro.core.dedup import DeduplicationResult, remove_duplicates
-from repro.core.fscr import FusionScoreResolver
+from repro.core.dedup import DeduplicationResult
 from repro.core.index import Block, MLNIndex
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
+from repro.core.stages import StageContext, get_stage, merge_stage_outcomes
 from repro.dataset.table import Table
 from repro.distributed.executor import SimulatedCluster
 from repro.distributed.partition import DataPartitioner, PartitionResult
@@ -42,26 +42,6 @@ from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
 from repro.obs import ensure_tracer, span, stage_scope
 from repro.perf.engine import DistanceEngine
-
-
-def merge_stage_outcomes(
-    agp_outcomes: Iterable[AGPOutcome],
-    rsc_outcomes: Iterable[RSCOutcome],
-) -> tuple[AGPOutcome, RSCOutcome]:
-    """Deterministically fold per-worker / per-block Stage-I outcomes.
-
-    The fold order is the iteration order of the inputs, which callers keep
-    at partition order (distributed driver) or block order (the batch
-    backend's ``parallelism=N`` mode), so merged ``StageCounts``, merge lists
-    and repair lists are identical to what a serial run accumulates.
-    """
-    agp_total = AGPOutcome()
-    for outcome in agp_outcomes:
-        agp_total.extend(outcome)
-    rsc_total = RSCOutcome()
-    for outcome in rsc_outcomes:
-        rsc_total.extend(outcome)
-    return agp_total, rsc_total
 
 
 @dataclass
@@ -248,18 +228,19 @@ class DistributedMLNClean:
         # (Section 6), i.e. FSCR runs over all blocks with a global candidate
         # pool, followed by global duplicate elimination.
         with stage_scope(driver_timings, "distributed", "gather"):
-            all_blocks = [
-                block for output in clean_outputs for block in output.blocks
-            ]
-            fscr = FusionScoreResolver(self.config, engine=engine)
-            fscr_outcome = fscr.resolve(dirty, all_blocks)
-            repaired = fscr_outcome.repaired
+            context = StageContext(
+                dirty=dirty,
+                rules=list(rules),
+                config=self.config,
+                blocks=[block for output in clean_outputs for block in output.blocks],
+                engine=engine,
+            )
+            get_stage("fscr", self.config).run(context)
+            repaired = context.repaired
             repaired.name = f"{dirty.name}-distributed"
-            dedup_result = None
-            cleaned = repaired
             if self.config.remove_duplicates:
-                dedup_result = remove_duplicates(repaired, engine)
-                cleaned = dedup_result.deduplicated
+                get_stage("dedup", self.config).run(context)
+            cleaned = repaired if context.cleaned is None else context.cleaned
             agp_total, rsc_total = merge_stage_outcomes(
                 (output.agp for output in learn_outputs),
                 (output.rsc for output in clean_outputs),
@@ -278,7 +259,7 @@ class DistributedMLNClean:
             driver_timings=driver_timings,
             sequential_seconds=cluster.sequential_seconds,
             makespan_seconds=cluster.makespan_seconds,
-            dedup=dedup_result,
+            dedup=context.dedup,
             accuracy=accuracy,
             agp=agp_total,
             rsc=rsc_total,

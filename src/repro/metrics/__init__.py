@@ -8,13 +8,12 @@ timing helpers used by the experiment harness.
 
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.component import ComponentAccuracy, StageCounts
-from repro.metrics.timing import Stopwatch, TimingBreakdown
+from repro.metrics.timing import TimingBreakdown
 
 __all__ = [
     "RepairAccuracy",
     "evaluate_repair",
     "ComponentAccuracy",
     "StageCounts",
-    "Stopwatch",
     "TimingBreakdown",
 ]

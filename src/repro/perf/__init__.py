@@ -1,13 +1,10 @@
-"""Performance subsystem: the shared distance engine and parallel Stage I.
+"""Performance subsystem: the shared distance engine and the block scheduler.
 
 :mod:`repro.perf.engine` provides the cached / pruned / early-exit
 :class:`DistanceEngine` every stage runs its string distances through;
-:mod:`repro.perf.parallel` fans independent Stage-I blocks out to worker
-processes for the batch backend's opt-in ``parallelism=N`` mode.
-
-``repro.perf.parallel`` is intentionally not imported here: it depends on the
-core stage processors (which themselves build engines), so importing it from
-the package root would be circular.  Import it explicitly where needed.
+:mod:`repro.perf.parallel` maps the per-block calls of the Stage-I stages
+over forked worker processes for the batch backend's opt-in
+``parallelism=N`` mode.
 """
 
 from repro.perf.engine import (

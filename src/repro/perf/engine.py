@@ -12,17 +12,20 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   decision),
 * **algorithmic fast paths** for the edit-distance family: common
   prefix/suffix stripping, the length-difference lower bound, and a banded
-  early-exit :meth:`bounded_distance` that abandons the matrix once the
-  cutoff is provably exceeded,
-* a cutoff-accumulating :meth:`values_distance` that short-circuits a tuple
-  distance as soon as the per-attribute running sum exceeds the cutoff.
+  early-exit bounded distance that abandons the matrix once the cutoff is
+  provably exceeded,
+* a cutoff-accumulating tuple distance that short-circuits as soon as the
+  per-attribute running sum exceeds the cutoff,
+* the batch candidate-set API (:meth:`nearest` / :meth:`pairwise` /
+  :meth:`topk`) that owns the visit order and the cutoffs of best-so-far
+  searches on top of those bounded calls.
 
-Contract of the bounded calls: ``bounded_distance(l, r, c)`` (and
-``values_distance(..., cutoff=c)``) returns the **exact** distance whenever
-it is ``≤ c``; otherwise it returns *some* value ``> c`` (a valid lower
-bound).  Callers doing best-so-far searches therefore get bit-identical
-results to exhaustive evaluation: candidates at or below the running best are
-measured exactly (including ties), candidates that cannot win are skipped.
+Contract of the bounded calls: ``_bounded(l, r, c)`` (and
+``_values_bounded(..., c)``) returns the **exact** distance whenever it is
+``≤ c``; otherwise it returns *some* value ``> c`` (a valid lower bound).
+Best-so-far searches therefore get bit-identical results to exhaustive
+evaluation: candidates at or below the running best are measured exactly
+(including ties), candidates that cannot win are skipped.
 
 Statistics are strictly **engine-local** on the hot path: every counter
 increment touches only ``self.stats``, so concurrent engines (the service's
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
@@ -77,12 +79,6 @@ _KERNEL_CHUNK = 32
 #: a full-width chunk to exact evaluation (the candidates are visited in
 #: lower-bound order, so the seed chunk almost always contains the winner)
 _KERNEL_SEED_CHUNK = 4
-
-_SCALAR_DEPRECATION_HINT = (
-    "use the batch candidate-set API instead (DistanceEngine.nearest / "
-    "pairwise / topk); see the README section 'Migrating to the batch "
-    "distance API'"
-)
 
 
 @dataclass
@@ -201,10 +197,10 @@ class DistanceStats:
 #
 #     totals = retired + Σ(live engines) − reset offset
 #
-# where *retired* accumulates the stats of engines as they are garbage
-# collected (the weakref callback fires while holding nothing else) and the
-# *reset offset* is the snapshot taken by ``reset_global_distance_stats``
-# — counters stay monotone underneath, resets are a subtraction.
+# where *retired* accumulates the stats of engines after they are garbage
+# collected and the *reset offset* is the snapshot taken by
+# ``reset_global_distance_stats`` — counters stay monotone underneath,
+# resets are a subtraction.
 # ----------------------------------------------------------------------
 _ACCUM_LOCK = threading.Lock()
 #: folded counters of engines that were garbage collected or reset
@@ -213,28 +209,42 @@ _RETIRED = DistanceStats()
 _RESET_OFFSET = DistanceStats()
 #: weakref(engine) → its (never rebound) stats object
 _LIVE: "dict[weakref.ref, DistanceStats]" = {}
+#: weakrefs of collected engines whose counters await the fold into
+#: ``_RETIRED`` (their stats stay in ``_LIVE`` and count until then)
+_RETIRING: "list[weakref.ref]" = []
 
 
 def _retire_engine(ref: "weakref.ref") -> None:
-    """Weakref callback: fold a dying engine's counters into the retired base.
+    """Weakref callback: queue a dying engine for the fold.
 
-    Pops the registry entry and folds under one lock acquisition, so a
-    concurrent :func:`global_distance_stats` never sees the engine twice or
-    not at all.
+    Takes no lock: the callback can fire inside any allocation (cyclic
+    garbage collection), including one made while ``_ACCUM_LOCK`` is held,
+    and the lock is not re-entrant.  ``list.append`` is atomic.
     """
-    with _ACCUM_LOCK:
-        stats = _LIVE.pop(ref, None)
+    _RETIRING.append(ref)
+
+
+def _fold_retiring() -> None:
+    """Move queued engines from ``_LIVE`` to ``_RETIRED``.
+
+    The caller holds ``_ACCUM_LOCK``, so a concurrent reader never sees an
+    engine twice or not at all.
+    """
+    while _RETIRING:
+        stats = _LIVE.pop(_RETIRING.pop(), None)
         if stats is not None:
             _RETIRED.iadd(stats)
 
 
 def _register_engine(engine: "DistanceEngine") -> None:
     with _ACCUM_LOCK:
+        _fold_retiring()
         _LIVE[weakref.ref(engine, _retire_engine)] = engine.stats
 
 
 def _raw_totals() -> DistanceStats:
     """Retired + live counters; the caller holds ``_ACCUM_LOCK``."""
+    _fold_retiring()
     totals = _RETIRED.copy()
     for stats in _LIVE.values():
         totals.iadd(stats)
@@ -318,7 +328,6 @@ class DistanceEngine:
         self._qgram_profiles: dict = {}
         self._refcounts: dict = {}
         self._pairs_by_value: dict = {}
-        self._scalar_warned: set = set()
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
         self._banded = bool(getattr(metric, "supports_banded", False))
         #: bound-destroying edit operations per q-gram (``None`` disables the
@@ -398,17 +407,6 @@ class DistanceEngine:
     def _exact_key(left: str, right: str):
         """Pair key for already-interned strings (no pool probes)."""
         return (left, right) if left <= right else (right, left)
-
-    def _warn_scalar(self, method: str) -> None:
-        if method in self._scalar_warned:
-            return
-        self._scalar_warned.add(method)
-        warnings.warn(
-            f"DistanceEngine.{method} with a cutoff is a deprecated scalar "
-            f"entry point; {_SCALAR_DEPRECATION_HINT}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
     def _flush_if_full(self) -> None:
         """Wholesale flush once exact + lower-bound entries hit the bound.
@@ -535,26 +533,15 @@ class DistanceEngine:
         self.stats.raw_evaluations += 1
         return self.metric.distance(left, right)
 
-    def bounded_distance(self, left: str, right: str, cutoff: float) -> float:
+    def _bounded(
+        self, left: str, right: str, cutoff: float, canonical: bool
+    ) -> float:
         """Exact distance when it is ``≤ cutoff``; else some value ``> cutoff``.
 
         The not-exact return value is a true lower bound of the distance, so
         best-so-far searches can prune on it; it must not be used as a
-        distance.
-
-        .. deprecated:: 1.9
-            Scalar best-so-far loops belong behind the batch candidate-set
-            API (:meth:`nearest` / :meth:`pairwise` / :meth:`topk`), which
-            adds q-gram pruning and kernel routing on top of the same
-            exact-or-prune contract.  This shim stays for one release.
+        distance.  ``canonical`` skips the intern pool.
         """
-        self._warn_scalar("bounded_distance")
-        return self._bounded(left, right, cutoff, canonical=False)
-
-    def _bounded(
-        self, left: str, right: str, cutoff: float, canonical: bool
-    ) -> float:
-        """The bounded-distance body; ``canonical`` skips the intern pool."""
         if cutoff == math.inf:
             if canonical:
                 return self._distance_canonical(left, right)
@@ -616,29 +603,15 @@ class DistanceEngine:
     # value tuples (pieces of data)
     # ------------------------------------------------------------------
     def values_distance(
-        self,
-        left: "Sequence[str]",
-        right: "Sequence[str]",
-        cutoff: Optional[float] = None,
+        self, left: "Sequence[str]", right: "Sequence[str]"
     ) -> float:
-        """Sum of per-position distances, optionally cutoff-accumulating.
+        """Exact sum of per-position distances.
 
-        Without a cutoff this equals
-        :meth:`repro.distance.base.DistanceMetric.values_distance` bit for
-        bit (same per-pair values, same left-to-right summation order).  With
-        a cutoff, the exact sum is returned whenever it is ``≤ cutoff``;
-        otherwise the accumulation stops at the first attribute that pushes a
-        lower bound of the sum past the cutoff and some value ``> cutoff``
-        comes back.
-
-        .. deprecated:: 1.9
-            The *cutoff* form is a scalar best-so-far entry point; use the
-            batch candidate-set API (:meth:`nearest` / :meth:`pairwise` /
-            :meth:`topk`) instead.  The exact (no-cutoff) form stays.
+        Equals :meth:`repro.distance.base.DistanceMetric.values_distance`
+        bit for bit (same per-pair values, same left-to-right summation
+        order).
         """
-        if cutoff is not None and cutoff != math.inf:
-            self._warn_scalar("values_distance")
-        return self._values_distance(left, right, cutoff, canonical=False)
+        return self._values_distance(left, right, None, canonical=False)
 
     def _values_distance(
         self,
@@ -647,6 +620,13 @@ class DistanceEngine:
         cutoff: Optional[float],
         canonical: bool,
     ) -> float:
+        """Sum of per-position distances, cutoff-accumulating under a cutoff.
+
+        With a cutoff, the exact sum is returned whenever it is ``≤ cutoff``;
+        otherwise the accumulation stops at the first attribute that pushes a
+        lower bound of the sum past the cutoff and some value ``> cutoff``
+        comes back.
+        """
         if len(left) != len(right):
             raise ValueError("value tuples must have the same length")
         self.stats.value_calls += 1
@@ -1042,19 +1022,14 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def absorb_stats(self, stats: DistanceStats, mirror_global: bool = True) -> None:
+    def absorb_stats(self, stats: DistanceStats) -> None:
         """Fold counters measured elsewhere (e.g. a worker process) in.
 
-        Worker processes keep their own engines; their counters are shipped
-        back with the results and folded into the driver's engine — which is
-        all it takes for :func:`global_distance_stats` to see the forked
-        work, because the global view is derived from engine-local counters.
-        ``mirror_global`` is kept for API compatibility; the in-process
-        fallback of the parallel path passes ``False`` together with empty
-        stats objects (its counters already live in this engine), so the
-        fold is a no-op there either way.
+        Forked workers ship the counters they added back with their results
+        and the parent folds them into its engine — which is all it takes
+        for :func:`global_distance_stats` to see the forked work, because
+        the global view is derived from engine-local counters.
         """
-        del mirror_global  # the derived global view makes the flag moot
         self.stats.iadd(stats)
 
     def reset_stats(self) -> None:

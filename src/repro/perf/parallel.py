@@ -1,172 +1,106 @@
-"""Process-parallel Stage I for the batch backend (opt-in ``parallelism=N``).
+"""Fork-pool block scheduling for the batch backend's ``parallelism=N``.
 
 Stage I is embarrassingly parallel: AGP merges groups *within* one block and
 RSC's weight learning normalises by the block's own support (the Eq.-4
-prior), so no block ever reads another block's state.  This module fans the
-blocks of one cleaning run out to worker processes, each running AGP followed
-by RSC on its block with its own :class:`~repro.perf.DistanceEngine`, and
-merges the mutated blocks and their outcomes back **in block order** through
-the distributed driver's :func:`~repro.distributed.driver.merge_stage_outcomes`
-— so the merged ``StageCounts``, merge/repair listings and the downstream
-FSCR input are bit-identical to a serial run (caching never changes a
-distance, and blocks are independent, so only wall-clock changes).
+prior), so no block ever reads another block's state.  The ``agp`` and
+``rsc`` stages of :mod:`repro.core.stages` therefore hand their per-block
+call to :func:`map_blocks`, which decides only *where* each block runs: in
+process, or in a forked worker.
 
-Worker engines cannot share a cache across process boundaries; their
-counters are shipped back with the results and folded into the driver
-engine, keeping the run's reported distance statistics complete.
+The calling process and ``N - 1`` forked workers claim blocks from one
+shared counter until none are left, so the load balances itself and the
+caller's share is cleaned in place.  Workers inherit the task, the blocks
+and the run's distance engine (cache included) from the caller — the pool
+initializer's arguments are not pickled under ``fork`` — and ship back
+their mutated blocks, the blocks' outcomes and the engine counters they
+added.  Results are returned in block order, which is exactly the order the
+serial stage folds them in, so the merged ``StageCounts`` and the downstream
+FSCR input are identical to a serial run — caching never changes a
+distance, so only wall-clock and the cache-dependent counters differ.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
-from typing import Optional
+from collections.abc import Callable, Sequence
+from typing import Any, Optional
 
-from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
-from repro.core.config import MLNCleanConfig
-from repro.core.index import Block
-from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.obs import span
-from repro.perf.engine import DistanceEngine, DistanceStats
+from repro.perf.engine import DistanceEngine
 
-#: tid → attribute → clean value; the picklable stand-in for the
-#: ``clean_lookup`` closure of instrumented runs
-CleanValues = dict[int, dict[str, str]]
-
-
-@dataclass
-class BlockStageResult:
-    """One block after Stage I, with its outcomes and engine counters."""
-
-    block: Block
-    agp: AGPOutcome
-    rsc: RSCOutcome
-    stats: DistanceStats
+#: ``(task, blocks, engine, counter)`` of the fan-out a worker process serves
+#: (set only in workers, so concurrent fan-outs from several threads never mix)
+_FORKED: Optional[tuple] = None
 
 
-def _clean_block_with_engine(
-    block: Block,
-    config: MLNCleanConfig,
-    clean_values: Optional[CleanValues],
-    engine: DistanceEngine,
-    own_stats: bool,
-) -> BlockStageResult:
-    """AGP then RSC on one block through ``engine``.
-
-    ``own_stats=True`` means the engine belongs to this task alone (worker
-    process) and its counters must travel back with the result; with a
-    shared in-process engine the counters are already where they belong, so
-    an empty stats object is returned to keep the later fold from double
-    counting.
-    """
-    lookup = None
-    if clean_values is not None:
-        lookup = clean_values.__getitem__
-    agp = AbnormalGroupProcessor(config, engine=engine)
-    agp_outcome = agp.process_block(block, lookup)
-    rsc = ReliabilityScoreCleaner(config, engine=engine)
-    rsc_outcome = rsc.clean_block(block, lookup)
-    stats = engine.stats if own_stats else DistanceStats()
-    return BlockStageResult(block, agp_outcome, rsc_outcome, stats)
+def _adopt(*fanout) -> None:
+    """Worker initializer: keep the fan-out inherited from the caller."""
+    global _FORKED
+    _FORKED = fanout
 
 
-def _clean_one_block(
-    payload: "tuple[Block, MLNCleanConfig, Optional[CleanValues]]",
-) -> BlockStageResult:
-    """Worker entry point: one block with its own engine (module-level for pickling)."""
-    block, config, clean_values = payload
-    engine = DistanceEngine.from_config(config)
-    return _clean_block_with_engine(block, config, clean_values, engine, own_stats=True)
+def _drain(task: Callable[[Any], Any], blocks: Sequence, counter) -> list:
+    """``(position, task(block))`` for each block claimed until none are left."""
+    done = []
+    while True:
+        with counter.get_lock():
+            position = counter.value
+            counter.value += 1
+        if position >= len(blocks):
+            return done
+        done.append((position, task(blocks[position])))
 
 
-def clean_blocks_parallel(
-    blocks: "list[Block]",
-    config: MLNCleanConfig,
-    clean_values: Optional[CleanValues],
+def _drain_forked(_) -> tuple:
+    """Worker entry point: drain the inherited fan-out, report its counters."""
+    task, blocks, engine, counter = _FORKED
+    before = engine.stats.copy()
+    done = [
+        (position, blocks[position], outcome)
+        for position, outcome in _drain(task, blocks, counter)
+    ]
+    return done, engine.stats.diff(before)
+
+
+def map_blocks(
+    task: Callable[[Any], Any],
+    blocks: Sequence,
     parallelism: int,
-    engine: Optional[DistanceEngine] = None,
-) -> "tuple[list[BlockStageResult], bool]":
-    """Run Stage I on every block across ``parallelism`` worker processes.
+    engine: DistanceEngine,
+) -> "list[tuple[Any, Any]]":
+    """``(block, task(block))`` for every block, in block order.
 
-    Returns ``(results, pooled)``: the results come back in input block order
-    (``Pool.map`` preserves order), which is exactly the order the serial
-    stages iterate, so downstream merges are deterministic; ``pooled`` tells
-    whether worker processes actually ran (counters of in-process work have
-    already reached the process-global stats).  With one block, one worker,
-    or no usable process pool, the work degrades gracefully to in-process
-    execution through the caller's shared ``engine`` — same results, same
-    cross-block cache a serial run enjoys.
+    ``task`` mutates its block in place and runs its distances through
+    ``engine``.  With one worker, one block, or no ``fork`` start method the
+    blocks run in process.  Otherwise ``parallelism - 1`` forked workers
+    share the blocks with the caller: a block the caller ran comes back as
+    the input object, a block a worker ran as the worker's mutated copy, and
+    the workers' counters are folded into ``engine``.
     """
-    def run_in_process() -> "list[BlockStageResult]":
-        shared = engine if engine is not None else DistanceEngine.from_config(config)
-        return [
-            _clean_block_with_engine(block, config, clean_values, shared, own_stats=False)
-            for block in blocks
-        ]
-
     workers = min(parallelism, len(blocks))
-    if workers <= 1 or len(blocks) <= 1:
-        return run_in_process(), False
-    payloads = [(block, config, clean_values) for block in blocks]
-    try:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        with context.Pool(processes=workers) as pool:
-            return pool.map(_clean_one_block, payloads), True
-    except (OSError, ValueError):  # pragma: no cover - constrained sandboxes
-        return run_in_process(), False
-
-
-class ParallelStageOne:
-    """The fused ``agp`` + ``rsc`` stage of a ``parallelism=N`` batch run.
-
-    Registers its outcomes under the standard ``"agp"`` / ``"rsc"`` names so
-    reports are indistinguishable from a serial run's; the wall-clock of both
-    sub-stages lands in one ``stage1`` timing phase (they execute interleaved
-    per block inside the workers and cannot be attributed separately).
-    """
-
-    name = "stage1"
-
-    def __init__(self, config: MLNCleanConfig, parallelism: int):
-        self.config = config
-        self.parallelism = parallelism
-
-    def run(self, context) -> None:
-        clean_values: Optional[CleanValues] = None
-        if context.clean_lookup is not None:
-            clean_values = {
-                tid: context.clean_lookup(tid) for tid in context.dirty.tids
-            }
-        # One driver-side span for the whole fan-out.  Fork-pool workers run
-        # without a tracer (contextvars do not survive the fork, and spans
-        # could not be shipped back affordably); the driver span records the
-        # fan-out shape instead.
-        with span(
-            "stage1.parallel",
-            blocks=len(context.blocks),
-            parallelism=self.parallelism,
-        ) as fan_span:
-            results, pooled = clean_blocks_parallel(
-                context.blocks,
-                self.config,
-                clean_values,
-                self.parallelism,
-                engine=context.engine,
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [(block, task(block)) for block in blocks]
+    fork = multiprocessing.get_context("fork")
+    # Forked workers record no spans (their tracer copy dies with them); one
+    # caller-side span records the fan-out shape instead.
+    with span("blocks.fork", blocks=len(blocks), workers=workers):
+        try:
+            counter = fork.Value("i", 0)
+            pool = fork.Pool(
+                workers - 1,
+                initializer=_adopt,
+                initargs=(task, blocks, engine, counter),
             )
-            fan_span.set(pooled=pooled)
-        # Workers mutated pickled copies; adopt them in block order.
-        context.blocks = [result.block for result in results]
-        from repro.distributed.driver import merge_stage_outcomes
-
-        agp_total, rsc_total = merge_stage_outcomes(
-            (result.agp for result in results),
-            (result.rsc for result in results),
-        )
-        context.outcomes["agp"] = agp_total
-        context.outcomes["rsc"] = rsc_total
-        if context.engine is not None:
-            for result in results:
-                context.engine.absorb_stats(result.stats, mirror_global=pooled)
+        except OSError:  # pragma: no cover - sandboxes without semaphores
+            return [(block, task(block)) for block in blocks]
+        with pool:
+            forked = pool.map_async(_drain_forked, range(workers - 1))
+            results = {
+                position: (blocks[position], outcome)
+                for position, outcome in _drain(task, blocks, counter)
+            }
+            for done, stats in forked.get():
+                engine.absorb_stats(stats)
+                for position, block, outcome in done:
+                    results[position] = (block, outcome)
+    return [results[position] for position in range(len(blocks))]

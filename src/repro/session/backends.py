@@ -68,10 +68,11 @@ class ExecutionBackend(Protocol):
 class BatchBackend:
     """The stand-alone Algorithm-1 pipeline (the paper's primary setting).
 
-    ``parallelism=N`` (opt-in, default serial) cleans the independent
-    Stage-I blocks in N worker processes; output is bit-identical to the
-    serial run — blocks share no Stage-I state and the per-block outcomes
-    are merged deterministically in block order.
+    ``parallelism=N`` (opt-in, default serial) runs the independent
+    per-block calls of the ``agp`` and ``rsc`` stages in N forked worker
+    processes; output is bit-identical to the serial run — blocks share no
+    Stage-I state and the per-block outcomes are merged deterministically in
+    block order.  Detectors and custom stage orders work as in serial runs.
     """
 
     name = "batch"
@@ -82,11 +83,6 @@ class BatchBackend:
         self.parallelism = parallelism
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        if self.parallelism > 1 and request.detectors is not None:
-            raise ValueError(
-                "dirty-cell-scoped cleaning is serial-only: drop the "
-                "detectors or run the batch backend with parallelism=1"
-            )
         cleaner = MLNClean(
             request.config,
             stages=request.stages,

@@ -9,8 +9,9 @@ batches and re-derives only what a batch's deltas invalidated:
    (:class:`~repro.streaming.incremental_index.IncrementalMLNIndex`); the
    ``O(|B| × |T|)`` rebuild disappears.
 2. **Stage I (AGP + RSC)** — a delta dirties specific groups of specific
-   blocks; only the *affected blocks* are re-cleaned.  The block is the
-   sound re-cleaning unit because RSC's weight learning is block-global
+   blocks; only the *affected blocks* are re-cleaned, each through the
+   ``agp`` then the ``rsc`` stage of :mod:`repro.core.stages`.  The block is
+   the sound re-cleaning unit because RSC's weight learning is block-global
    (the Eq.-4 prior normalises by the block's total support), so any change
    inside a block can shift every weight of that block; blocks no delta
    touched keep their previous Stage-I result untouched.
@@ -20,8 +21,10 @@ batches and re-derives only what a batch's deltas invalidated:
    substitutions against a re-cleaned block (their substitution pool may
    have changed), previously unfusable tuples covered by a re-cleaned
    block, and the batch's own tuples.  Everything else keeps its fusion.
-4. **Deduplication** re-runs over the maintained repaired table (a cheap
-   hash pass).
+   :meth:`~repro.core.stages.FSCRStage.fuse_tuples` re-fuses them and
+   patches the maintained repaired table.
+4. **Deduplication** — the ``dedup`` stage re-runs over the maintained
+   repaired table (a cheap hash pass).
 
 Affected-set tracking is exact, not heuristic: a tuple outside the set has
 bit-identical fusion inputs, so re-running FSCR on it could not change its
@@ -38,13 +41,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.constraints.rules import Rule
-from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
+from repro.core.agp import AGPOutcome
 from repro.core.config import MLNCleanConfig
-from repro.core.dedup import DeduplicationResult, remove_duplicates
-from repro.core.fscr import FSCROutcome, FusionScoreResolver, TupleFusion
+from repro.core.dedup import DeduplicationResult
+from repro.core.fscr import FSCROutcome, TupleFusion
 from repro.core.index import Block
 from repro.core.report import CleaningReport
-from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
+from repro.core.rsc import RSCOutcome
+from repro.core.stages import AGPStage, DedupStage, FSCRStage, RSCStage, StageContext
 from repro.dataset.schema import Schema
 from repro.dataset.table import Cell, Table
 from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
@@ -166,9 +170,10 @@ class StreamingMLNClean:
             # Built empty here, then maintained by the delta hooks — the
             # streaming analog of the batch pipeline's qgram-index stage.
             self._index.enable_qgram(self._engine.qgram_size)
-        self._agp = AbnormalGroupProcessor(self.config, engine=self._engine)
-        self._rsc = ReliabilityScoreCleaner(self.config, engine=self._engine)
-        self._fscr = FusionScoreResolver(self.config, engine=self._engine)
+        self._agp = AGPStage(self.config)
+        self._rsc = RSCStage(self.config)
+        self._fscr = FSCRStage(self.config)
+        self._dedup_stage = DedupStage(self.config)
 
         #: post-Stage-I state of every block, in rule order (FSCR consumes it)
         self._stage1: dict[str, Block] = {rule.name: Block(rule) for rule in self.rules}
@@ -297,24 +302,28 @@ class StreamingMLNClean:
                 if not self._detected.covers(self._dirty):
                     scope = CleaningScope(self._detected, self._dirty)
 
-            # Stage I on the affected blocks only (under a scope, only the
-            # affected blocks that contain detected cells are re-cleaned;
-            # the rest still get their canonical post-delta structure).
+            # Stage I on the affected blocks only, block-major: AGP then RSC
+            # per block (under a scope the stages skip the blocks without
+            # detected cells, which still get their canonical post-delta
+            # structure).
+            context = StageContext(
+                dirty=self._dirty,
+                rules=self.rules,
+                config=self.config,
+                engine=self._engine,
+                scope=scope,
+            )
             affected = [name for name in self._stage1 if dirtied.get(name)]
             report.affected_blocks = affected
             for name in affected:
-                block = self._index.canonical_block(name)
-                if scope is None or scope.selects_block(block):
-                    group_filter = None if scope is None else scope.selects_group
-                    with stage_scope(timings, "streaming", "agp", block=name):
-                        report.agp.extend(
-                            self._agp.process_block(block, group_filter=group_filter)
-                        )
-                    with stage_scope(timings, "streaming", "rsc", block=name):
-                        report.rsc.extend(
-                            self._rsc.clean_block(block, group_filter=group_filter)
-                        )
-                self._stage1[name] = block
+                context.blocks = [self._index.canonical_block(name)]
+                with stage_scope(timings, "streaming", "agp", block=name):
+                    self._agp.run(context)
+                report.agp.extend(context.outcomes["agp"])
+                with stage_scope(timings, "streaming", "rsc", block=name):
+                    self._rsc.run(context)
+                report.rsc.extend(context.outcomes["rsc"])
+                self._stage1[name] = context.blocks[0]
 
             # Stage II for the tuples whose fusion inputs changed (under a
             # scope, only the affected tuples that hold a detected cell).
@@ -324,16 +333,16 @@ class StreamingMLNClean:
                 )
                 if scope is not None:
                     affected_tids &= scope.tids
-                resolved, failed = self._refuse(affected_tids)
+                resolved, failed = self._refuse(context, affected_tids)
             report.resolved_tids = resolved
             report.failed_tids = failed
 
             if self.config.remove_duplicates:
+                context.repaired = self._repaired
                 with stage_scope(timings, "streaming", "dedup"):
-                    self._dedup = remove_duplicates(
-                        self._repaired, self._engine
-                    )
-                self._cleaned = self._dedup.deduplicated
+                    self._dedup_stage.run(context)
+                self._dedup = context.dedup
+                self._cleaned = context.cleaned
             else:
                 self._dedup = None
                 self._cleaned = self._repaired
@@ -638,26 +647,25 @@ class StreamingMLNClean:
                     versions[tid] = (piece.values, piece.weight)
         return versions
 
-    def _refuse(self, affected_tids: set[int]) -> tuple[list[int], list[int]]:
-        """Re-run FSCR for the affected tuples and patch the repaired table."""
-        if not affected_tids:
-            return [], []
+    def _refuse(
+        self, context: StageContext, affected_tids: set[int]
+    ) -> tuple[list[int], list[int]]:
+        """Re-fuse the affected tuples and record their fusions."""
         live = [tid for tid in self._dirty.tids if tid in affected_tids]
-        subset = self._dirty.subset(live, name="stream-delta")
-        blocks = [self._stage1[rule.name] for rule in self.rules]
-        outcome = self._fscr.resolve(subset, blocks)
+        outcome = self._fscr.fuse_tuples(
+            context,
+            live,
+            [self._stage1[rule.name] for rule in self.rules],
+            self._repaired,
+        )
         failed = set(outcome.failed_tuples)
         for tid in live:
-            fused_row = outcome.repaired.row(tid).as_dict()
-            for attribute, value in fused_row.items():
-                self._repaired.set_value(tid, attribute, value)
             if tid in outcome.fusions:
                 self._fusions[tid] = outcome.fusions[tid]
-                self._failed.discard(tid)
             else:
                 self._fusions.pop(tid, None)
-                if tid in failed:
-                    self._failed.add(tid)
-                else:
-                    self._failed.discard(tid)
+            if tid in failed:
+                self._failed.add(tid)
+            else:
+                self._failed.discard(tid)
         return live, sorted(failed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.detectors import (
+from repro.detect import (
     PerfectDetector,
     UnionDetector,
     ViolationDetector,

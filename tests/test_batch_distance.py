@@ -12,8 +12,7 @@ The load-bearing properties of the sub-quadratic distance core:
   exact semantics and validate their domains,
 * the per-block q-gram indexes are maintained incrementally by the delta
   hooks, and the pipeline records the ``stage:qgram-index`` span,
-* the scalar entry points (``bounded_distance``, ``values_distance`` with a
-  cutoff) warn exactly once per engine with ``DeprecationWarning``.
+* the pipeline runs free of ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -369,29 +368,8 @@ def test_pipeline_records_the_qgram_index_stage(sample_table, sample_rules):
 
 
 # ----------------------------------------------------------------------
-# scalar deprecation shims
+# warnings
 # ----------------------------------------------------------------------
-def test_bounded_distance_warns_once_per_engine():
-    engine = DistanceEngine(get_metric("levenshtein"))
-    with pytest.warns(DeprecationWarning, match="batch candidate-set API"):
-        value = engine.bounded_distance("kitten", "sitting", 5.0)
-    assert value == 3.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert engine.bounded_distance("kitten", "sitting", 5.0) == 3.0
-
-
-def test_values_distance_warns_only_with_a_finite_cutoff():
-    engine = DistanceEngine(get_metric("levenshtein"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # no cutoff: still the supported exact entry point
-        assert engine.values_distance(("ab", "cd"), ("ab", "ce")) == 1.0
-        assert engine.distance("ab", "ba") == 2.0
-    with pytest.warns(DeprecationWarning, match="batch candidate-set API"):
-        engine.values_distance(("ab", "cd"), ("ab", "ce"), cutoff=4.0)
-
-
 def test_pipeline_runs_free_of_deprecation_warnings(sample_table, sample_rules):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

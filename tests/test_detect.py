@@ -428,16 +428,27 @@ def test_scoped_report_carries_detection_provenance():
     assert report.details.detected_cells == detection["count"]
 
 
-def test_parallel_batch_rejects_detectors():
+def test_parallel_scoped_batch_equals_serial():
     instance = hospital_instance()
     request = CleaningRequest(
         dirty=instance.dirty,
         rules=instance.rules,
         config=recommended_config("hospital-sample"),
+        ground_truth=instance.ground_truth,
         detectors=["violation"],
     )
-    with pytest.raises(ValueError, match="serial-only"):
-        get_backend("batch", parallelism=2).run(request)
+    serial = get_backend("batch").run(request)
+    parallel = get_backend("batch", parallelism=2).run(request)
+    detection = dict(parallel.details.detection, seconds=None)
+    assert detection["scoped"] is True
+    assert detection == dict(serial.details.detection, seconds=None)
+    assert parallel.cleaned.equals(serial.cleaned)
+    assert parallel.repaired.equals(serial.repaired)
+    assert parallel.f1 == serial.f1
+    for stage in ("agp", "rsc", "fscr"):
+        assert vars(getattr(parallel, stage).counts) == vars(
+            getattr(serial, stage).counts
+        )
 
 
 def test_distributed_rejects_scoping_but_allows_all_cells():
@@ -702,20 +713,3 @@ def test_detector_ablation_spec_runs_with_detection_metrics():
     assert "detect_precision" not in plain.metrics
     assert perfect.metrics["f1"] == plain.metrics["f1"]
 
-
-# ----------------------------------------------------------------------
-# back-compat shim
-# ----------------------------------------------------------------------
-def test_baselines_detectors_shim_reexports():
-    from repro.baselines.detectors import (
-        ErrorDetector,
-        PerfectDetector as ShimPerfect,
-        UnionDetector as ShimUnion,
-        ViolationDetector as ShimViolation,
-    )
-    from repro.detect.base import Detector
-
-    assert ErrorDetector is Detector
-    assert ShimPerfect is PerfectDetector
-    assert ShimUnion is UnionDetector
-    assert ShimViolation is ViolationDetector

@@ -2,12 +2,13 @@
 
 The load-bearing properties:
 
-* ``bounded_distance(l, r, c)`` equals the exact distance whenever that
-  distance is ``≤ c`` (and exceeds ``c`` otherwise) — this is what makes the
-  best-so-far searches in AGP and RSC bit-identical to exhaustive scans,
+* the engine's bounded distance (reached through ``nearest``) equals the
+  exact distance whenever that distance is ``≤ c`` (and exceeds ``c``
+  otherwise) — this is what makes the best-so-far searches in AGP and RSC
+  bit-identical to exhaustive scans,
 * cache-enabled and cache-disabled runs produce identical cleaned tables,
 * ``parallelism=2`` batch output equals serial output (table + F1) on every
-  registered workload,
+  registered workload, for custom stage orders too,
 * re-cleaning an unchanged block through a shared engine re-runs no raw
   metric evaluations (the streaming-replay regression).
 """
@@ -33,12 +34,13 @@ from repro.distance.fastpath import (
     strip_common_affixes,
     trivial_edit_distance,
 )
-from repro.distributed.driver import merge_stage_outcomes
+from repro.core.agp import AbnormalGroupProcessor
+from repro.core.stages import merge_stage_outcomes
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
 from repro.metrics.timing import PerfDetails
 from repro.perf import DistanceEngine, DistanceStats, global_distance_stats
-from repro.perf.parallel import clean_blocks_parallel
+from repro.perf.parallel import map_blocks
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
 from repro.workloads.registry import available_workloads, get_workload_generator
 
@@ -95,16 +97,27 @@ def test_levenshtein_fastpath_matches_full_dp(left, right):
         assert routed == float(len(left) + len(right))
 
 
+def gram_free_engine(**kwargs):
+    """An engine whose q-grams are longer than the test strings.
+
+    Its candidate bound is the length difference alone, so ``nearest``
+    hands every candidate within that bound to the bounded distance.
+    """
+    return DistanceEngine(LevenshteinDistance(), qgram_size=16, **kwargs)
+
+
 @given(short_text, short_text, cutoffs)
 def test_bounded_distance_exact_iff_within_cutoff(left, right, cutoff):
-    engine = DistanceEngine(LevenshteinDistance(), cache=False)
+    engine = gram_free_engine()
     exact = LevenshteinDistance().distance(left, right)
-    bounded = engine.bounded_distance(left, right, cutoff)
+    position, value = engine.nearest((left,), [(right,)], cutoff)
     if exact <= cutoff:
-        assert bounded == exact
+        assert (position, value) == (0, exact)
     else:
-        assert bounded > cutoff
-        assert bounded <= exact  # the not-exact value is a true lower bound
+        assert position is None
+        # a pruned pair caches a true lower bound above the cutoff
+        for bound in engine._lower.values():
+            assert cutoff < bound <= exact
 
 
 @given(short_text, short_text, st.integers(min_value=0, max_value=10))
@@ -121,14 +134,15 @@ def test_bounded_levenshtein_helper_contract(left, right, radius):
 
 
 def test_bounded_distance_caches_exact_and_lower_bounds():
-    engine = DistanceEngine(LevenshteinDistance())
-    assert engine.bounded_distance("kitten", "sitting", 1.0) > 1.0
+    engine = gram_free_engine()
+    query, candidates = ("kitten",), [("sitting",)]
+    assert engine.nearest(query, candidates, 1.0) == (None, math.inf)
     assert engine.stats.band_prunes + engine.stats.length_prunes == 1
     # the lower bound answers a repeat of the too-tight query from cache ...
-    assert engine.bounded_distance("kitten", "sitting", 1.0) > 1.0
+    assert engine.nearest(query, candidates, 1.0) == (None, math.inf)
     assert engine.stats.lower_bound_hits == 1
     # ... but a wider cutoff recomputes and gets the exact value
-    assert engine.bounded_distance("kitten", "sitting", 5.0) == 3.0
+    assert engine.nearest(query, candidates, 5.0) == (0, 3.0)
     assert engine.distance("kitten", "sitting") == 3.0
     assert engine.stats.cache_hits >= 2
 
@@ -148,11 +162,14 @@ def test_values_distance_matches_metric_bit_for_bit():
 
 
 def test_values_distance_cutoff_short_circuits_exactly():
-    engine = DistanceEngine(LevenshteinDistance())
+    engine = gram_free_engine()
     left = ("AAAA", "BBBB", "CCCC")
     right = ("AXAA", "BXBB", "CXCC")  # true per-pair distance 1 each
-    assert engine.values_distance(left, right, cutoff=3.0) == 3.0
-    assert engine.values_distance(left, right, cutoff=2.0) > 2.0
+    assert engine.nearest(left, [right], 3.0) == (0, 3.0)
+    # a fresh cache: the sum passes the cutoff at the second attribute
+    engine = gram_free_engine()
+    assert engine.nearest(left, [right], 1.0) == (None, math.inf)
+    assert engine.stats.value_short_circuits == 1
     # mismatched tuple lengths are rejected like the metric rejects them
     with pytest.raises(ValueError):
         engine.values_distance(("a",), ("a", "b"))
@@ -189,10 +206,10 @@ def test_max_entries_flushes_wholesale():
 def test_max_entries_also_bounds_the_lower_bound_cache():
     # Prune-heavy workloads populate the lower-bound side almost
     # exclusively; the bound must count those entries too.
-    engine = DistanceEngine(LevenshteinDistance(), max_entries=2)
-    engine.bounded_distance("aaaa", "zzzz", 0.0)   # lower bound stored
-    engine.bounded_distance("bbbb", "yyyy", 0.0)
-    engine.bounded_distance("cccc", "xxxx", 0.0)   # hits the bound: flush
+    engine = gram_free_engine(max_entries=2)
+    engine.nearest(("aaaa",), [("zzzz",)], 0.0)   # lower bound stored
+    engine.nearest(("bbbb",), [("yyyy",)], 0.0)
+    engine.nearest(("cccc",), [("xxxx",)], 0.0)   # hits the bound: flush
     assert engine.stats.cache_evictions == 1
     assert len(engine._lower) == 1 and engine.cache_size() == 0
 
@@ -222,6 +239,22 @@ def test_stats_merge_diff_and_absorb():
     engine.absorb_stats(other)
     assert engine.stats.calls == 5
     assert global_distance_stats().diff(before).calls == 5
+
+
+def test_engine_collected_under_the_registry_lock_does_not_deadlock():
+    # Cyclic garbage collection can retire an engine inside any allocation,
+    # including one made while the registry lock is held (a fold in
+    # progress); the retirement must not wait for that lock.
+    from repro.perf import engine as engine_module
+
+    dying = DistanceEngine(LevenshteinDistance())
+    dying.distance("a", "bb")
+    before = global_distance_stats()
+    with engine_module._ACCUM_LOCK:
+        del dying  # the weakref callback fires here
+    # the retired counters still count, exactly once
+    assert global_distance_stats().diff(before).calls == 0
+    assert not engine_module._RETIRING
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +290,26 @@ def test_parallel_two_equals_serial_on_every_workload(workload_name):
     assert parallel.details.parallelism == 2
 
 
-def test_parallel_stage_one_rejects_custom_stage_orders():
-    with pytest.raises(ValueError, match="default stage order"):
-        MLNClean(stages=["agp", "fscr"], parallelism=2)
+def test_parallel_custom_stage_orders_equal_serial():
+    instance = small_instance("hospital-sample", tuples=80)
+    config = MLNCleanConfig(abnormal_threshold=1)
+    for stages in (["agp", "rsc", "fscr"], ["agp", "fscr"]):
+        serial = MLNClean(config, stages=stages).clean(
+            instance.dirty, instance.rules, instance.ground_truth
+        )
+        parallel = MLNClean(config, stages=stages, parallelism=2).clean(
+            instance.dirty, instance.rules, instance.ground_truth
+        )
+        assert serial.cleaned.equals(parallel.cleaned)
+        assert serial.repaired.equals(parallel.repaired)
+        assert serial.f1 == parallel.f1
+        assert vars(serial.agp.counts) == vars(parallel.agp.counts)
+        assert vars(serial.fscr.counts) == vars(parallel.fscr.counts)
+        assert (serial.rsc is None) == (parallel.rsc is None)
+        if serial.rsc is not None:
+            assert vars(serial.rsc.counts) == vars(parallel.rsc.counts)
+        # parallel Stage I reports its stages as separate phases
+        assert set(parallel.timings.phases) == set(serial.timings.phases)
     with pytest.raises(ValueError):
         MLNClean(parallelism=0)
 
@@ -270,27 +320,36 @@ def test_clean_blocks_parallel_in_process_reuses_shared_engine(
     config = MLNCleanConfig(abnormal_threshold=1)
     blocks = MLNIndex.build(sample_table, sample_rules).block_list
     shared = DistanceEngine.from_config(config)
-    results, pooled = clean_blocks_parallel(
-        blocks, config, None, parallelism=1, engine=shared
-    )
-    assert pooled is False
-    assert shared.stats.calls > 0  # the fallback went through the shared cache
-    # per-result stats stay empty so a later fold cannot double count
-    assert all(result.stats.calls == 0 for result in results)
+    agp = AbnormalGroupProcessor(config, engine=shared)
+    results = map_blocks(agp.process_block, blocks, 1, shared)
+    # in process: the blocks are mutated in place, through the shared cache
+    assert all(block is original for (block, _), original in zip(results, blocks))
+    assert shared.stats.calls > 0
 
 
 def test_clean_blocks_parallel_preserves_block_order(sample_table, sample_rules):
     config = MLNCleanConfig(abnormal_threshold=1)
     blocks = MLNIndex.build(sample_table, sample_rules).block_list
-    results, pooled = clean_blocks_parallel(blocks, config, None, parallelism=2)
-    assert [result.block.name for result in results] == [b.name for b in blocks]
-    agp, rsc = merge_stage_outcomes(
-        (result.agp for result in results), (result.rsc for result in results)
+    engine = DistanceEngine.from_config(config)
+    agp = AbnormalGroupProcessor(config, engine=engine)
+    results = map_blocks(agp.process_block, blocks, 2, engine)
+    assert [block.name for block, _ in results] == [b.name for b in blocks]
+    outcomes = [outcome for _, outcome in results]
+    merged, _ = merge_stage_outcomes(outcomes, [])
+    assert merged.detected_abnormal_groups == sum(
+        outcome.detected_abnormal_groups for outcome in outcomes
     )
-    assert agp.detected_abnormal_groups == sum(
-        result.agp.detected_abnormal_groups for result in results
+    serial_engine = DistanceEngine.from_config(config)
+    serial_blocks = MLNIndex.build(sample_table, sample_rules).block_list
+    serial = AbnormalGroupProcessor(config, engine=serial_engine).process_index(
+        serial_blocks
     )
-    assert rsc.cleaned_groups == sum(result.rsc.cleaned_groups for result in results)
+    # every pair request is counted once, whichever process made it
+    assert engine.stats.calls == serial_engine.stats.calls > 0
+    assert vars(merged.counts) == vars(serial.counts)
+    assert [m.as_json_dict() for m in merged.merges] == [
+        m.as_json_dict() for m in serial.merges
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -395,4 +454,4 @@ def test_engine_distance_equals_metric_distance(left, right):
 
 def test_bounded_distance_with_infinite_cutoff_is_exact():
     engine = DistanceEngine(LevenshteinDistance())
-    assert engine.bounded_distance("kitten", "sitting", math.inf) == 3.0
+    assert engine.nearest(("kitten",), [("sitting",)], math.inf) == (0, 3.0)
