@@ -5,14 +5,17 @@ DIR`` (the ``obs-smoke`` CI job boots one in the background) and checks the
 three observable surfaces end to end:
 
 1. **Requests** — fires concurrent ``POST /clean`` and ``POST /deltas``
-   requests so the service has jobs to trace and meter;
+   requests so the service has jobs to trace and meter, plus one
+   ``cleaner="holoclean"`` clean for the baseline path;
 2. **Metrics** — fetches ``GET /metrics`` raw, asserts the Prometheus
    content type, and feeds the body through the package's own *strict*
    :func:`repro.obs.parse_prometheus` (any malformed line fails the job),
-   then checks the service-, stage- and distance-level series are present;
+   then checks the service-, stage- and distance-level series are present
+   and that the HoloClean phases fed ``repro_stage_seconds_total``;
 3. **Traces** — loads every ``trace-*.json`` the server exported and
    validates the Chrome ``trace_event`` schema: complete events only, one
-   root per job, every parent id resolving inside the file;
+   root per job, every parent id resolving inside the file; the HoloClean
+   job's trace must hold a ``stage:train`` span;
 4. **Overhead gate** — asserts that with tracing *off* the instrumentation
    costs at most ``--overhead-pct`` (default 2%) of a cleaning run: the
    number of spans a traced run records, times the measured cost of one
@@ -75,8 +78,14 @@ def fetch_metrics(host: str, port: int):
         connection.close()
 
 
-def drive_requests(client: ServiceClient, requests: int, threads: int) -> int:
-    """Fire concurrent clean + delta requests; returns the failure count."""
+def drive_requests(
+    client: ServiceClient, requests: int, threads: int
+) -> "tuple[int, str | None]":
+    """Fire concurrent clean + delta requests and one HoloClean clean.
+
+    Returns the failure count and the HoloClean job's id (``None`` when it
+    did not finish).
+    """
 
     def one_clean(_index: int):
         return client.clean(
@@ -105,7 +114,17 @@ def drive_requests(client: ServiceClient, requests: int, threads: int) -> int:
     except ServiceError as exc:
         print(f"FAIL: delta request answered {exc.status}: {exc}")
         failures += 1
-    return failures
+    baseline_job = client.clean(
+        workload=WORKLOAD,
+        tuples=TUPLES,
+        error_rate=ERROR_RATE,
+        cleaner="holoclean",
+        timeout=300,
+    )
+    if baseline_job["status"] != "done":
+        print(f"FAIL: holoclean job ended {baseline_job['status']}")
+        return failures + 1, None
+    return failures, baseline_job["id"]
 
 
 def check_metrics(host: str, port: int) -> "tuple[int, dict]":
@@ -127,6 +146,12 @@ def check_metrics(host: str, port: int) -> "tuple[int, dict]":
         if not any(key.startswith(prefix) for key in samples):
             print(f"FAIL: /metrics is missing the {prefix} series")
             failures += 1
+    if not any(
+        key.startswith("repro_stage_seconds_total") and 'backend="holoclean"' in key
+        for key in samples
+    ):
+        print("FAIL: /metrics has no repro_stage_seconds_total sample for holoclean")
+        failures += 1
     hit_rate = samples.get("repro_distance_cache_hit_rate")
     if hit_rate is None or not 0.0 <= hit_rate <= 1.0:
         print(f"FAIL: distance cache hit rate {hit_rate!r} out of range")
@@ -135,8 +160,11 @@ def check_metrics(host: str, port: int) -> "tuple[int, dict]":
     return failures, samples
 
 
-def check_traces(trace_dir: Path, expected: int) -> int:
-    """Validate every exported trace file as a connected trace_event tree."""
+def check_traces(trace_dir: Path, expected: int, baseline_job) -> int:
+    """Validate every exported trace file as a connected trace_event tree.
+
+    The HoloClean job's trace must also carry its ``stage:train`` span.
+    """
     failures = 0
     paths = sorted(trace_dir.glob("trace-*.json"))
     if len(paths) < expected:
@@ -165,6 +193,16 @@ def check_traces(trace_dir: Path, expected: int) -> int:
             failures += 1
         if dangling:
             print(f"FAIL: {path.name} has dangling parents on {dangling}")
+            failures += 1
+    if baseline_job is not None:
+        path = trace_dir / f"trace-{baseline_job}.json"
+        events = (
+            json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
+            if path.exists()
+            else []
+        )
+        if not any(event["name"] == "stage:train" for event in events):
+            print(f"FAIL: {path.name} has no stage:train span")
             failures += 1
     print(f"traces: {len(paths)} files validated as connected span trees")
     return failures
@@ -237,10 +275,12 @@ def main(argv=None) -> int:
     health = client.wait_until_healthy(timeout=60)
     print(f"server healthy: {health}")
 
-    failures = drive_requests(client, args.requests, args.threads)
+    failures, baseline_job = drive_requests(client, args.requests, args.threads)
     metric_failures, samples = check_metrics(args.host, args.port)
     failures += metric_failures
-    failures += check_traces(Path(args.trace_dir), expected=args.requests + 1)
+    failures += check_traces(
+        Path(args.trace_dir), expected=args.requests + 2, baseline_job=baseline_job
+    )
     gate_failures, overhead = overhead_gate(
         args.overhead_pct / 100.0, args.overhead_rounds
     )

@@ -36,6 +36,7 @@ from repro.dataset.table import Cell, Table
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
+from repro.obs import stage_scope
 
 #: names of the candidate features, in vector order
 FEATURE_NAMES = (
@@ -469,7 +470,7 @@ class FactorGraphRepairer:
                 if ground_truth is not None
                 else ViolationDetector()
             )
-        with timings.time("detect"):
+        with stage_scope(timings, "factor-graph", "detect"):
             noisy_cells = detector.detect(dirty, rules)
 
         repaired = dirty.copy(name=f"{dirty.name}-factorgraph")
@@ -480,7 +481,7 @@ class FactorGraphRepairer:
             timings=timings,
         )
         if noisy_cells:
-            with timings.time("compile"):
+            with stage_scope(timings, "factor-graph", "compile"):
                 graph = CellFactorGraph(
                     dirty,
                     rules,
@@ -489,13 +490,13 @@ class FactorGraphRepairer:
                     seed=self.seed,
                 )
             if self.training_epochs:
-                with timings.time("train"):
+                with stage_scope(timings, "factor-graph", "train"):
                     graph.train(
                         graph.training_examples(self.training_sample),
                         epochs=self.training_epochs,
                         learning_rate=self.learning_rate,
                     )
-            with timings.time("repair"):
+            with stage_scope(timings, "factor-graph", "repair"):
                 for cell in sorted(noisy_cells, key=lambda c: (c.tid, c.attribute)):
                     best = graph.map_repair(cell)
                     if best.value != dirty.cell_value(cell):

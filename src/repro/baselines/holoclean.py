@@ -32,6 +32,7 @@ from repro.detect import Detector, PerfectDetector, ViolationDetector
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
+from repro.obs import stage_scope
 
 
 @dataclass
@@ -121,7 +122,7 @@ class HoloCleanBaseline:
                 else ViolationDetector()
             )
 
-        with timings.time("detect"):
+        with stage_scope(timings, "holoclean", "detect"):
             noisy_cells = detector.detect(dirty, rules)
 
         repaired = dirty.copy(name=f"{dirty.name}-holoclean")
@@ -132,7 +133,7 @@ class HoloCleanBaseline:
             timings=timings,
         )
         if noisy_cells:
-            with timings.time("compile"):
+            with stage_scope(timings, "holoclean", "compile"):
                 graph = CellFactorGraph(
                     dirty,
                     rules,
@@ -140,14 +141,14 @@ class HoloCleanBaseline:
                     max_candidates=self.config.max_candidates,
                     seed=self.config.seed,
                 )
-            with timings.time("train"):
+            with stage_scope(timings, "holoclean", "train"):
                 examples = graph.training_examples(self.config.training_sample)
                 graph.train(
                     examples,
                     epochs=self.config.training_epochs,
                     learning_rate=self.config.learning_rate,
                 )
-            with timings.time("repair"):
+            with stage_scope(timings, "holoclean", "repair"):
                 for cell in sorted(noisy_cells, key=lambda c: (c.tid, c.attribute)):
                     best = graph.map_repair(cell)
                     if best.value != dirty.cell_value(cell):

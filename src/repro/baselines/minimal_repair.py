@@ -28,6 +28,7 @@ from repro.dataset.table import Cell, Table
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
+from repro.obs import stage_scope
 
 
 @dataclass
@@ -77,7 +78,7 @@ class MinimalityRepairer:
     ) -> MinimalRepairReport:
         repaired = dirty.copy(name=f"{dirty.name}-minimal")
         report = MinimalRepairReport(dirty=dirty, repaired=repaired)
-        with report.timings.time("repair"):
+        with stage_scope(report.timings, "minimal-repair", "repair"):
             for rule in rules:
                 self._repair_rule(repaired, rule, report)
         if ground_truth is not None:

@@ -192,7 +192,6 @@ class MLNClean:
             accuracy=accuracy,
             backend="batch",
             details=PerfDetails(
-                timings=timings.as_dict(),
                 distance=context.engine.stats.as_dict(),
                 parallelism=self.parallelism,
                 detection=self._detection_details(context),

@@ -3,8 +3,10 @@
 :func:`run_detection` is the single execution seam every backend uses: it
 resolves the stack, injects the run's injected-error ledger into detectors
 that want one (``ground_truth`` attribute left ``None``), times the pass
-under a ``stage:detect`` span, and feeds the ``repro_detector_cells_total``
-/ ``repro_detect_seconds_total`` counters.
+with :func:`~repro.obs.stage_scope` (the ``detect`` phase of the report
+timings, ``repro_stage_seconds_total{stage="detect"}`` and the
+``stage:detect`` span), and feeds the ``repro_detector_cells_total``
+counter.
 
 :class:`CleaningScope` is the dirty-scoped cleaning contract (exact-or-
 prune): Stage I only enumerates blocks containing detected cells (and only
@@ -16,7 +18,6 @@ output included.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from typing import Optional
 
@@ -25,7 +26,7 @@ from repro.dataset.table import Table
 from repro.detect.base import DetectorSpec, DirtyCells, resolve_detectors
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.timing import TimingBreakdown
-from repro.obs import DETECT_SECONDS, DETECTOR_CELLS, stage_scope
+from repro.obs import DETECTOR_CELLS, stage_scope
 
 
 def inject_ground_truth(detector, ground_truth: Optional[GroundTruth]) -> None:
@@ -58,17 +59,17 @@ def run_detection(
 
     Returns the union with per-detector provenance (two stack entries with
     the same name get ``name`` / ``name#2`` provenance labels).  The pass is
-    timed into ``timings`` (when given) under the ``detect`` phase, which
-    also emits the ``stage:detect`` span and the stage-seconds counter.
+    timed by one ``stage_scope`` under the ``detect`` phase; its measurement
+    becomes :attr:`DirtyCells.seconds` and is added to ``timings`` (when
+    given).
     """
     resolved = resolve_detectors(detectors)
     if not resolved:
         raise ValueError("run_detection needs at least one detector")
-    timings = timings if timings is not None else TimingBreakdown()
-    started = time.perf_counter()
+    measured = TimingBreakdown()
     cells: set = set()
     by_detector: dict[str, set] = {}
-    with stage_scope(timings, backend, "detect", detectors=len(resolved)) as scope:
+    with stage_scope(measured, backend, "detect", detectors=len(resolved)) as scope:
         for detector in resolved:
             inject_ground_truth(detector, ground_truth)
             found = set(detector.detect(table, rules))
@@ -77,8 +78,9 @@ def run_detection(
             cells |= found
             DETECTOR_CELLS.labels(detector=label).inc(len(found))
         scope.set(cells=len(cells))
-    seconds = time.perf_counter() - started
-    DETECT_SECONDS.labels(backend=backend).inc(seconds)
+    seconds = measured.phases["detect"]
+    if timings is not None:
+        timings.record("detect", seconds)
     return DirtyCells(cells=cells, by_detector=by_detector, seconds=seconds)
 
 

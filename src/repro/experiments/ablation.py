@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 from repro.core.config import MLNCleanConfig
-from repro.core.index import MLNIndex
-from repro.core.agp import AbnormalGroupProcessor
+from repro.core.pipeline import MLNClean
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner
+from repro.core.stages import RSCStage, register_stage
 from repro.distributed.driver import DistributedMLNClean
 from repro.distributed.partition import DataPartitioner, hash_partition
 from repro.experiments.harness import ExperimentResult
@@ -50,10 +51,11 @@ from repro.session.cleaners import _reject_custom_stages
 class RScoreAblationCleaner:
     """Stage-I-only runs scoring γs by a degenerate reliability score.
 
-    The pipeline is kept identical up to RSC except for how the winning γ of
-    each group is chosen: by the full r-score (``variant="full"``), by
-    weight alone (``"weight_only"``, pure statistics) or by support×distance
-    alone (``"distance_only"``, pure minimality).  The cleaner reports the
+    The run is ``MLNClean`` with the stage order ``agp`` → RSC, where the
+    RSC stage chooses the winning γ of each group by the full r-score
+    (``variant="full"``, the stock ``rsc`` stage), by weight alone
+    (``"weight_only"``, pure statistics) or by support×distance alone
+    (``"distance_only"``, pure minimality).  The cleaner reports the
     Stage-I RSC precision/recall as numeric ``details`` so the experiment
     runner surfaces them as cell metrics.
     """
@@ -61,7 +63,7 @@ class RScoreAblationCleaner:
     name = "rscore-ablation"
 
     def __init__(self, variant: str = "full"):
-        if variant not in ("full", "weight_only", "distance_only"):
+        if variant not in _VARIANT_STAGES:
             raise ValueError(f"unknown reliability-score variant {variant!r}")
         self.variant = variant
 
@@ -72,16 +74,12 @@ class RScoreAblationCleaner:
                 "the rscore-ablation cleaner measures RSC accuracy and "
                 "therefore needs a ground truth"
             )
-        clean_reference = request.ground_truth.clean_table(request.dirty)
-        lookup = clean_reference.row  # used via .as_dict below
-
-        index = MLNIndex.build(request.dirty, request.rules)
-        AbnormalGroupProcessor(request.config).process_index(index.block_list)
-        cleaner = _variant_cleaner(request.config, self.variant)
-        outcome = cleaner.clean_index(
-            index.block_list, lambda tid: lookup(tid).as_dict()
+        cleaner = MLNClean(
+            replace(request.config, instrument=True),
+            stages=["agp", _VARIANT_STAGES[self.variant]],
         )
-        counts = outcome.counts
+        staged = cleaner.clean(request.dirty, request.rules, request.ground_truth)
+        counts = staged.rsc.counts
         precision = (
             counts.correctly_repaired_gammas / counts.repaired_gammas
             if counts.repaired_gammas
@@ -98,7 +96,8 @@ class RScoreAblationCleaner:
             dirty=request.dirty,
             repaired=request.dirty,
             cleaned=request.dirty,
-            rsc=outcome,
+            timings=staged.timings,
+            rsc=staged.rsc,
             backend=self.name,
             details={
                 "variant": self.variant,
@@ -108,37 +107,40 @@ class RScoreAblationCleaner:
         )
 
 
-def _variant_cleaner(config: MLNCleanConfig, variant: str) -> ReliabilityScoreCleaner:
-    """A cleaner whose reliability score ignores one of its two factors."""
-    cleaner = ReliabilityScoreCleaner(config)
-    if variant == "full":
-        return cleaner
+class _VariantRSCStage(RSCStage):
+    """The ``rsc`` stage with a reliability score that ignores one factor."""
 
-    if variant == "weight_only":
+    def __init__(self, config: MLNCleanConfig, score):
+        super().__init__(config)
+        cleaner = self._cleaner
+        cleaner.reliability_scores = lambda group: score(cleaner, group)  # type: ignore[method-assign]
 
-        def weight_only(group):
-            return {piece: float(piece.weight) for piece in group.gammas}
 
-        cleaner.reliability_scores = weight_only  # type: ignore[method-assign]
-    elif variant == "distance_only":
-        # the cleaner's shared engine keeps the variant's distance calls
-        # cached and pruned like the full score's
-        engine = cleaner.engine
+def _weight_only(cleaner: ReliabilityScoreCleaner, group) -> dict:
+    return {piece: float(piece.weight) for piece in group.gammas}
 
-        def distance_only(group):
-            gammas = group.gammas
-            if len(gammas) < 2:
-                return {piece: 1.0 for piece in gammas}
-            neighbors = engine.pairwise([piece.values for piece in gammas])
-            return {
-                piece: piece.support * neighbors[index][1]
-                for index, piece in enumerate(gammas)
-            }
 
-        cleaner.reliability_scores = distance_only  # type: ignore[method-assign]
-    else:
-        raise ValueError(f"unknown reliability-score variant {variant!r}")
-    return cleaner
+def _distance_only(cleaner: ReliabilityScoreCleaner, group) -> dict:
+    gammas = group.gammas
+    if len(gammas) < 2:
+        return {piece: 1.0 for piece in gammas}
+    # the run's shared engine keeps the variant's distance calls cached and
+    # pruned like the full score's
+    neighbors = cleaner.engine.pairwise([piece.values for piece in gammas])
+    return {
+        piece: piece.support * neighbors[index][1]
+        for index, piece in enumerate(gammas)
+    }
+
+
+#: ablation variant → the registered RSC stage that scores it
+_VARIANT_STAGES = {
+    "full": "rsc",
+    "weight_only": "rsc-weight-only",
+    "distance_only": "rsc-distance-only",
+}
+register_stage("rsc-weight-only", partial(_VariantRSCStage, score=_weight_only))
+register_stage("rsc-distance-only", partial(_VariantRSCStage, score=_distance_only))
 
 
 class _RoundRobinPartitioner(DataPartitioner):

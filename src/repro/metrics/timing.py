@@ -1,20 +1,22 @@
-"""Wall-clock timing helpers for the experiment harness.
+"""Per-run timing and performance drill-down records.
 
 The paper reports runtimes alongside accuracy (Figures 6, 11, 15 and
-Table 6).  :class:`TimingBreakdown` accumulates wall-clock per named phase
-so the harness can report, e.g., how much of the total time is spent in
-weight learning (the paper attributes ~95 % of MLNClean's runtime to it).
-:class:`PerfDetails` bundles the per-stage timings with the run's
-distance-engine counters; the batch pipeline surfaces it as
-``CleaningReport.details``.
+Table 6).  :class:`TimingBreakdown` holds one run's wall-clock per named
+phase; :func:`repro.obs.stage_scope` is the only code that measures a phase
+into it, for the MLNClean stages, the baselines' ``detect`` / ``compile`` /
+``train`` / ``repair`` and the detection pass alike, so the two sides of a
+runtime comparison are timed the same way.  Weight learning runs inside the
+``rsc`` phase and is not a phase of its own, so the paper's claim that it
+takes ~95 % of MLNClean's runtime cannot be read off this breakdown.
+:class:`PerfDetails` carries the run's distance-engine counters, fan-out
+width and detection drill-down; the batch pipeline surfaces it as
+``CleaningReport.details`` (the phase timings stay on ``report.timings``).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 
 @dataclass
@@ -26,25 +28,9 @@ class TimingBreakdown:
     def record(self, phase: str, seconds: float) -> None:
         self.phases[phase] = self.phases.get(phase, 0.0) + seconds
 
-    @contextmanager
-    def time(self, phase: str) -> Iterator[None]:
-        """Measure a block and add it to ``phase``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(phase, time.perf_counter() - started)
-
     @property
     def total(self) -> float:
         return sum(self.phases.values())
-
-    def fraction(self, phase: str) -> float:
-        """Share of the total spent in ``phase`` (0.0 when nothing measured)."""
-        total = self.total
-        if total == 0.0:
-            return 0.0
-        return self.phases.get(phase, 0.0) / total
 
     def merge(self, other: "TimingBreakdown") -> "TimingBreakdown":
         merged = TimingBreakdown(dict(self.phases))
@@ -61,14 +47,12 @@ class PerfDetails:
     """Performance drill-down of one batch cleaning run.
 
     Attached to :attr:`repro.core.report.CleaningReport.details` by the
-    batch pipeline: wall-clock per pipeline stage plus the shared
-    :class:`~repro.perf.DistanceEngine` counters (pair-distance calls, cache
-    hit rate, raw metric evaluations, prune counts), and the Stage-I worker
-    fan-out width of ``parallelism=N`` runs.
+    batch pipeline: the shared :class:`~repro.perf.DistanceEngine` counters
+    (pair-distance calls, cache hit rate, raw metric evaluations, prune
+    counts) and the Stage-I worker fan-out width of ``parallelism=N`` runs.
+    Per-stage wall-clock is ``report.timings``.
     """
 
-    #: per-stage wall-clock seconds (a ``TimingBreakdown.as_dict()``)
-    timings: dict[str, float] = field(default_factory=dict)
     #: the distance engine's counters (a ``DistanceStats.as_dict()``)
     distance: dict[str, object] = field(default_factory=dict)
     #: Stage-I worker processes of the run (1 = serial)
@@ -79,7 +63,6 @@ class PerfDetails:
 
     def as_dict(self) -> dict[str, object]:
         payload: dict[str, object] = {
-            "timings": dict(self.timings),
             "distance": dict(self.distance),
             "parallelism": self.parallelism,
         }
@@ -93,15 +76,3 @@ class PerfDetails:
         if self.detection is None:
             return None
         return self.detection.get("count")
-
-    def describe(self) -> str:
-        """One line for logs: total time, distance calls, hit rate."""
-        total = sum(self.timings.values())
-        calls = self.distance.get("calls", 0)
-        hit_rate = self.distance.get("hit_rate", 0.0)
-        raw = self.distance.get("raw_evaluations", 0)
-        return (
-            f"{total:.3f}s over {len(self.timings)} stages | "
-            f"distance calls {calls} (raw {raw}, hit rate {hit_rate}) | "
-            f"parallelism {self.parallelism}"
-        )

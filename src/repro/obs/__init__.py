@@ -16,15 +16,19 @@ default:
   as a scrape-time collector.  The service serves all of it as
   ``GET /metrics`` in Prometheus text format.
 
-The helpers here are the single seam the pipeline code uses, so a stage is
-instrumented with exactly one ``with`` statement::
+:func:`stage_scope` is the only timer of a cleaning, baseline or detection
+phase, so a phase is instrumented with exactly one ``with`` statement::
 
     with stage_scope(timings, "batch", stage.name):
         stage.run(context)
 
 which measures once and fans out to three sinks: the report's
 ``TimingBreakdown``, the ``repro_stage_seconds_total`` counter, and (when a
-tracer is ambient) a ``stage:<name>`` span.
+tracer is ambient) a ``stage:<name>`` span.  The MLNClean backends label
+their phases ``batch`` / ``streaming`` / ``distributed``; the baselines
+label theirs with the cleaner name (``holoclean``, ``factor-graph``,
+``minimal-repair``), so both sides of the paper's runtime comparison are
+measured the same way.
 """
 
 from __future__ import annotations
@@ -103,22 +107,10 @@ DETECTOR_CELLS = REGISTRY.counter(
     ("detector",),
 )
 
-#: wall-clock spent running detector stacks, per backend
-DETECT_SECONDS = REGISTRY.counter(
-    "repro_detect_seconds_total",
-    "wall-clock seconds spent in the error-detection phase",
-    ("backend",),
-)
-
 
 def get_registry() -> MetricsRegistry:
     """The process-default :class:`MetricsRegistry`."""
     return REGISTRY
-
-
-def observe_stage(backend: str, stage: str, seconds: float) -> None:
-    """Record one stage execution in the default registry."""
-    STAGE_SECONDS.labels(backend=backend, stage=stage).inc(seconds)
 
 
 def observe_run(backend: str) -> None:
@@ -211,7 +203,6 @@ __all__ = [
     "get_registry",
     "name_tree",
     "observe_run",
-    "observe_stage",
     "parse_prometheus",
     "redacted_spans",
     "render_tree",

@@ -27,6 +27,7 @@ from repro.core.report import CleaningReport
 from repro.dataset.table import Table
 from repro.distributed.driver import DistributedMLNClean
 from repro.errors.groundtruth import GroundTruth
+from repro.metrics.timing import TimingBreakdown
 from repro.obs import observe_run, span
 from repro.registry import Registry
 from repro.streaming.cleaner import StreamingMLNClean
@@ -111,10 +112,12 @@ class DistributedBackend:
                 "the distributed backend runs the fixed partition/learn/fuse/"
                 "clean/gather sequence; custom stage orders are batch-only"
             )
+        detect_timings = TimingBreakdown()
         if request.detectors is not None:
-            # The detection phase still runs (provenance + metrics), but the
-            # partitioned driver always cleans full-scope, so a detection
-            # that would prune anything is rejected rather than ignored.
+            # The detection phase still runs (provenance + metrics + its
+            # ``detect`` phase), but the partitioned driver always cleans
+            # full-scope, so a detection that would prune anything is
+            # rejected rather than ignored.
             from repro.detect.run import run_detection
 
             detected = run_detection(
@@ -123,6 +126,7 @@ class DistributedBackend:
                 request.detectors,
                 ground_truth=request.ground_truth,
                 backend=self.name,
+                timings=detect_timings,
             )
             if not detected.covers(request.dirty):
                 raise ValueError(
@@ -137,7 +141,9 @@ class DistributedBackend:
                 request.dirty, request.rules, request.ground_truth
             )
         observe_run(self.name)
-        return report.as_cleaning_report()
+        cleaning = report.as_cleaning_report()
+        cleaning.timings = detect_timings.merge(cleaning.timings)
+        return cleaning
 
 
 class StreamingBackend:

@@ -464,6 +464,45 @@ def test_distributed_rejects_scoping_but_allows_all_cells():
         get_backend("distributed", workers=2).run(request)
 
 
+def test_detection_seconds_is_the_stage_scope_measurement():
+    instance = hospital_instance()
+    report = (
+        CleaningSession.builder()
+        .with_rules(instance.rules)
+        .with_config(recommended_config("hospital-sample"))
+        .with_detectors("violation")
+        .with_table(instance.dirty)
+        .with_ground_truth(instance.ground_truth)
+        .build()
+        .run()
+    )
+    assert report.details.detection["seconds"] == round(
+        report.timings.phases["detect"], 6
+    )
+
+
+def test_distributed_run_records_detection_time():
+    instance = hospital_instance()
+    report = (
+        CleaningSession.builder()
+        .with_rules(instance.rules)
+        .with_config(recommended_config("hospital-sample"))
+        .with_backend("distributed", workers=2)
+        .with_detectors("all-cells")
+        .with_table(instance.dirty)
+        .with_ground_truth(instance.ground_truth)
+        .build()
+        .run()
+    )
+    assert "detect" in report.timings.phases
+    assert list(report.timings.phases)[1:] == [
+        "partition",
+        "weight_fusion",
+        "gather",
+        "workers",
+    ]
+
+
 def test_minimal_repair_cleaner_rejects_detectors():
     instance = hospital_instance()
     session = (

@@ -53,7 +53,7 @@ from repro.service import (
 )
 from repro.service.codec import canonical_json
 from repro.service.pool import SessionPool
-from repro.session import CleaningSession
+from repro.session import CleaningSession, get_cleaner
 from repro.workloads.registry import recommended_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -352,6 +352,47 @@ def test_stage_scope_fans_out_to_timings_counter_and_span():
     (recorded,) = tracer.finished()
     assert recorded.name == "stage:agp"
     assert recorded.attrs == {"backend": "testbed", "blocks": 4, "resolved": 2}
+
+
+@pytest.mark.parametrize(
+    "cleaner,options",
+    [
+        ("holoclean", {}),
+        ("factor-graph", {"training_epochs": 1}),
+        ("minimal-repair", {}),
+    ],
+)
+def test_baseline_phases_are_timed_by_stage_scope(cleaner, options):
+    """Baselines time every phase like MLNClean: timings, counter and span."""
+    from repro.obs import STAGE_SECONDS
+
+    def counted():
+        return sum(
+            child.value
+            for labels, child in STAGE_SECONDS.samples()
+            if labels["backend"] == cleaner
+        )
+
+    instance = prepare_instance("hospital-sample", tuples=36, error_rate=0.1)
+    session = CleaningSession(
+        rules=instance.rules,
+        config=recommended_config("hospital-sample"),
+        cleaner=get_cleaner(cleaner, **options),
+    )
+    before = counted()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        report = session.run(table=instance.dirty, ground_truth=instance.ground_truth)
+    phases = [
+        recorded.name.removeprefix("stage:")
+        for recorded in tracer.finished()
+        if recorded.name.startswith("stage:")
+        and recorded.attrs.get("backend") == cleaner
+    ]
+    assert phases == list(report.timings.phases)
+    if cleaner != "minimal-repair":
+        assert "train" in phases
+    assert counted() > before
 
 
 # ----------------------------------------------------------------------

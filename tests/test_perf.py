@@ -360,9 +360,8 @@ def test_batch_report_surfaces_perf_details():
     report = session_for_instance(instance).run()
     details = report.details
     assert isinstance(details, PerfDetails)
-    assert set(details.timings) >= {"index", "agp", "rsc", "fscr"}
+    assert set(report.timings.phases) >= {"index", "agp", "rsc", "fscr"}
     assert details.distance["calls"] > 0
-    assert "hit rate" in details.describe()
     assert details.as_dict()["parallelism"] == 1
 
 
