@@ -18,6 +18,21 @@ order when the number of versions is small (``fscr_exhaustive_limit``) and
 otherwise tries each version as the starting point followed by the remaining
 versions in decreasing weight order — the factorial search of the paper,
 bounded for large rule sets.
+
+Most tuples never need that search.  When a tuple's versions agree pairwise
+on every shared attribute, no merge order can meet a conflict: each
+version's values on the attributes fused so far were set by an earlier
+version that agrees with it.  Every order then fuses the same union of the
+versions, with no substitution and no conflicted attribute, and scores the
+same product of the same factors.  Such tuples are fused in one pass over
+their versions (the order search would differ only in the float rounding of
+that product); a single disagreement sends the tuple through the full
+search.
+
+Each γ's attribute → value mapping is built once per :meth:`resolve` call
+and shared by the pass above and the order search.  The mapping lives only
+for that call: streaming and service resolvers serve a whole stream, so a
+mapping kept on the resolver would grow with every γ ever fused.
 """
 
 from __future__ import annotations
@@ -49,6 +64,14 @@ def _weight_factor(weight: float) -> float:
     ordering while keeping every factor positive.
     """
     return math.exp(min(weight, _WEIGHT_CAP))
+
+
+class _Assignments(dict):
+    """γ → :meth:`DataPiece.as_assignment`, built on first use."""
+
+    def __missing__(self, piece: DataPiece) -> dict[str, str]:
+        assignment = self[piece] = piece.as_assignment()
+        return assignment
 
 
 @dataclass
@@ -110,6 +133,7 @@ class FusionScoreResolver:
         outcome = FSCROutcome(repaired=repaired)
         tid_versions = self._versions_by_tid(blocks, set(dirty.tids))
         block_candidates = self._candidates_by_block(blocks)
+        assignments = _Assignments()
 
         # Fusion depends only on the tuple's data versions (γ values and
         # weights per block, in block order) and its current row values — not
@@ -128,7 +152,7 @@ class FusionScoreResolver:
                 cached = memo[signature]
             else:
                 cached = self._fuse_signature(
-                    versions, block_candidates, current_values
+                    versions, block_candidates, current_values, assignments
                 )
                 memo[signature] = cached
             if cached is None:
@@ -177,18 +201,39 @@ class FusionScoreResolver:
         versions: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
         current_values: dict[str, str],
+        assignments: _Assignments,
     ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
         """The best fusion of one version signature (Algorithm 2).
 
         Returns ``(assignment, f_score, conflicted_attributes,
         substitutions)`` — everything a :class:`TupleFusion` needs except the
-        tuple id — or ``None`` when every merge order fails.
+        tuple id — or ``None`` when every merge order fails.  Conflict-free
+        versions skip the order search (see the module docstring).
         """
+        fused = self._fuse_conflict_free(versions, current_values, assignments)
+        if fused is None:
+            fused = self._search_orders(
+                versions, block_candidates, current_values, assignments
+            )
+        return fused
+
+    def _search_orders(
+        self,
+        versions: list[tuple[Block, DataPiece]],
+        block_candidates: dict[str, list[DataPiece]],
+        current_values: dict[str, str],
+        assignments: _Assignments,
+    ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
+        """The highest-scoring fusion over :meth:`_merge_orders`."""
         conflicted_attributes: set[str] = set()
         best: Optional[tuple[dict[str, str], float, int]] = None
         for order in self._merge_orders(versions):
             attempt = self._try_order(
-                order, block_candidates, conflicted_attributes, current_values
+                order,
+                block_candidates,
+                conflicted_attributes,
+                current_values,
+                assignments,
             )
             if attempt is None:
                 continue
@@ -198,6 +243,24 @@ class FusionScoreResolver:
             return None
         assignment, f_score, substitutions = best
         return assignment, f_score, frozenset(conflicted_attributes), substitutions
+
+    def _fuse_conflict_free(
+        self,
+        versions: list[tuple[Block, DataPiece]],
+        current_values: dict[str, str],
+        assignments: _Assignments,
+    ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
+        """The fusion every merge order yields when the versions agree
+        pairwise; ``None`` as soon as two of them disagree."""
+        union: dict[str, str] = {}
+        f_score = 1.0
+        for _, piece in versions:
+            for attribute, value in assignments[piece].items():
+                if union.setdefault(attribute, value) != value:
+                    return None
+            f_score *= _weight_factor(piece.weight)
+        f_score *= self._minimality_factor(union, current_values)
+        return union, f_score, frozenset(), 0
 
     def _merge_orders(
         self, versions: list[tuple[Block, DataPiece]]
@@ -223,6 +286,7 @@ class FusionScoreResolver:
         block_candidates: dict[str, list[DataPiece]],
         conflicted_attributes: set[str],
         current_values: dict[str, str],
+        assignments: _Assignments,
     ) -> Optional[tuple[dict[str, str], float, int]]:
         """Fuse the versions in one specific order; ``None`` when it fails."""
         assignment: dict[str, str] = {}
@@ -230,35 +294,40 @@ class FusionScoreResolver:
         substitutions = 0
         for block, piece in order:
             candidate = piece
-            conflicts = self._conflicts(assignment, candidate.as_assignment())
+            conflicts = self._conflicts(assignment, assignments[candidate])
             if conflicts:
                 conflicted_attributes.update(conflicts)
                 candidate = self._find_substitute(
-                    assignment, block_candidates[block.name]
+                    assignment, block_candidates[block.name], assignments
                 )
                 if candidate is None:
                     return None
                 substitutions += 1
-            assignment.update(
-                {
-                    attribute: value
-                    for attribute, value in candidate.as_assignment().items()
-                    if attribute not in assignment
-                }
-            )
+            for attribute, value in assignments[candidate].items():
+                assignment.setdefault(attribute, value)
             f_score *= _weight_factor(candidate.weight)
-        # Minimality factor: fusions that rewrite fewer of the tuple's values
-        # are preferred when the weight products are comparable (the paper's
-        # cleaning criteria combine statistical evidence with the principle of
-        # minimality; see DESIGN.md for the rationale of this extension).
-        if self.config.fscr_minimality_bias > 0.0:
-            changes = sum(
-                1
-                for attribute, value in assignment.items()
-                if current_values.get(attribute) != value
-            )
-            f_score *= math.exp(-self.config.fscr_minimality_bias * changes)
+        f_score *= self._minimality_factor(assignment, current_values)
         return assignment, f_score, substitutions
+
+    def _minimality_factor(
+        self, assignment: dict[str, str], current_values: dict[str, str]
+    ) -> float:
+        """``exp(-bias × changes)``: the score factor of a fusion that rewrites
+        ``changes`` of the tuple's values.
+
+        Fusions that rewrite fewer of the tuple's values are preferred when
+        the weight products are comparable (the paper's cleaning criteria
+        combine statistical evidence with the principle of minimality; see
+        DESIGN.md for the rationale of this extension).
+        """
+        if self.config.fscr_minimality_bias <= 0.0:
+            return 1.0
+        changes = sum(
+            1
+            for attribute, value in assignment.items()
+            if current_values.get(attribute) != value
+        )
+        return math.exp(-self.config.fscr_minimality_bias * changes)
 
     @staticmethod
     def _conflicts(
@@ -272,11 +341,14 @@ class FusionScoreResolver:
         ]
 
     def _find_substitute(
-        self, assignment: dict[str, str], candidates: list[DataPiece]
+        self,
+        assignment: dict[str, str],
+        candidates: list[DataPiece],
+        assignments: _Assignments,
     ) -> Optional[DataPiece]:
         """The highest-weight γ of the block that agrees with the fusion."""
         for candidate in candidates:
-            if not self._conflicts(assignment, candidate.as_assignment()):
+            if not self._conflicts(assignment, assignments[candidate]):
                 return candidate
         return None
 

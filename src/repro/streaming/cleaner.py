@@ -37,7 +37,7 @@ equivalence the streaming tests assert.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.constraints.rules import Rule
@@ -131,6 +131,11 @@ class StreamingMLNClean:
             report = engine.apply_batch(batch.deltas, batch.ground_truth)
             print(report.describe())
         clean_table = engine.cleaned
+
+    Each :class:`StreamingBatchReport` lists the AGP merges and RSC repairs
+    of its tick.  The engine's cumulative totals (:meth:`report`,
+    :meth:`state_dict`) keep only the counters of those outcomes, so their
+    size stays constant however many ticks the stream runs.
     """
 
     def __init__(
@@ -357,8 +362,9 @@ class StreamingMLNClean:
             report.accuracy = self.accuracy()
 
         self._timings = self._timings.merge(timings)
-        self._agp_total.extend(report.agp)
-        self._rsc_total.extend(report.rsc)
+        # counters only: the per-tick merge / repair lists stay on the report
+        self._agp_total.extend(replace(report.agp, merges=[]))
+        self._rsc_total.extend(replace(report.rsc, repairs=[]))
         self._batches += 1
         return report
 
@@ -390,8 +396,9 @@ class StreamingMLNClean:
         """A cumulative :class:`CleaningReport` over everything streamed so far.
 
         Timings accumulate across batches; the stage outcomes aggregate the
-        re-cleaning work actually performed (not what a batch run would have
-        done once).
+        counters of the re-cleaning work actually performed (not what a
+        batch run would have done once).  Their ``merges`` / ``repairs``
+        lists are empty: each tick's are on its :class:`StreamingBatchReport`.
         """
         fscr = FSCROutcome(
             repaired=self._repaired,
@@ -421,12 +428,14 @@ class StreamingMLNClean:
 
         Only the *path-dependent* state is serialized: the retained dirty
         rows (in arrival order), the window bookkeeping, tid allocators,
-        the batch counter, the cumulative Stage-I outcome accumulators and
-        the streamed ground-truth ledger.  Everything else — index, block
-        versions, fusions, the repaired/cleaned tables, the distance cache
-        — is content-deterministic (the affected-set tracking is exact, see
-        the module docstring) and is re-derived by replaying the retained
-        rows through the normal apply path on restore.
+        the batch counter, the cumulative Stage-I counters (the totals hold
+        no merge or repair lists, so a snapshot does not grow with the
+        number of ticks) and the streamed ground-truth ledger.  Everything
+        else — index, block versions, fusions, the repaired/cleaned tables,
+        the distance cache — is content-deterministic (the affected-set
+        tracking is exact, see the module docstring) and is re-derived by
+        replaying the retained rows through the normal apply path on
+        restore.
         """
         return {
             "format": 1,
@@ -491,8 +500,14 @@ class StreamingMLNClean:
         self._dirty.reserve_tids(next_tid)
         self._repaired.reserve_tids(next_tid)
         self._batches = int(state["batches"])
-        self._agp_total = AGPOutcome.from_json_dict(state["agp_total"])
-        self._rsc_total = RSCOutcome.from_json_dict(state["rsc_total"])
+        # snapshots taken before the totals became counters-only still carry
+        # the merge / repair lists; they are dropped here
+        self._agp_total = replace(
+            AGPOutcome.from_json_dict(state["agp_total"]), merges=[]
+        )
+        self._rsc_total = replace(
+            RSCOutcome.from_json_dict(state["rsc_total"]), repairs=[]
+        )
         self._ground_truth = GroundTruth(
             InjectedError(
                 cell=Cell(int(e["tid"]), str(e["attribute"])),

@@ -6,12 +6,14 @@ tuple t3 fuses to {ELIZA, BOAZ, AL, 2567688400}, and the duplicates collapse.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.constraints.rules import FunctionalDependency
 from repro.core.agp import AbnormalGroupProcessor
 from repro.core.config import MLNCleanConfig
 from repro.core.dedup import remove_duplicates
-from repro.core.fscr import FusionScoreResolver
-from repro.core.index import MLNIndex
+from repro.core.fscr import FusionScoreResolver, _Assignments
+from repro.core.index import Block, DataPiece, MLNIndex
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.sample import sample_hospital_clean_table
 from repro.dataset.table import Table
@@ -196,6 +198,88 @@ def test_fscr_fusions_have_positive_scores(sample_table, sample_rules, sample_co
     outcome = FusionScoreResolver(sample_config).resolve(sample_table, index.block_list)
     assert outcome.fusions
     assert all(fusion.f_score > 0 for fusion in outcome.fusions.values())
+
+
+FUSION_ATTRIBUTES = ("A", "B", "C", "D")
+
+
+@st.composite
+def fusion_signatures(draw):
+    """One tuple's data versions (one γ per rule block), every block's
+    substitution pool sorted by weight, and the tuple's current values.
+
+    Version values copy a hidden "true" row unless a value is perturbed
+    (one draw in four), so conflict-free and conflicting signatures both
+    occur often.
+    """
+    truth = {a: draw(st.sampled_from("xy")) for a in FUSION_ATTRIBUTES}
+    current = {a: draw(st.sampled_from("xyz")) for a in FUSION_ATTRIBUTES}
+    weights = st.floats(-3.0, 3.0, allow_nan=False)
+    versions, candidates = [], {}
+    for index in range(draw(st.integers(1, 7))):
+        attributes = draw(
+            st.lists(
+                st.sampled_from(FUSION_ATTRIBUTES), min_size=2, max_size=3, unique=True
+            )
+        )
+        rule = FunctionalDependency(attributes[:1], attributes[1:], name=f"r{index}")
+
+        def piece():
+            values = tuple(
+                draw(st.sampled_from("xyz")) if draw(st.integers(0, 3)) == 0 else truth[a]
+                for a in attributes
+            )
+            gamma = DataPiece(rule, values[:1], values[1:])
+            gamma.weight = draw(weights)
+            return gamma
+
+        version = piece()
+        pool = [version] + [piece() for _ in range(draw(st.integers(0, 2)))]
+        pool.sort(key=lambda gamma: gamma.weight, reverse=True)
+        versions.append((Block(rule), version))
+        candidates[rule.name] = pool
+    return versions, candidates, current
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    signature=fusion_signatures(),
+    exhaustive_limit=st.sampled_from([1, 5]),
+    minimality_bias=st.sampled_from([0.0, 1.0]),
+)
+def test_conflict_free_fusion_equals_the_order_search(
+    signature, exhaustive_limit, minimality_bias
+):
+    """Versions that agree pairwise fuse in one pass to exactly the result of
+    the merge-order search (exhaustive up to 5 versions, greedy beyond the
+    limit); the score may differ only by the rounding of its product."""
+    versions, candidates, current = signature
+    resolver = FusionScoreResolver(
+        MLNCleanConfig(
+            fscr_exhaustive_limit=exhaustive_limit,
+            fscr_minimality_bias=minimality_bias,
+        )
+    )
+    assignments = [piece.as_assignment() for _, piece in versions]
+    agree = all(
+        left[attribute] == right[attribute]
+        for left in assignments
+        for right in assignments
+        for attribute in left.keys() & right.keys()
+    )
+    fused = resolver._fuse_conflict_free(versions, current, _Assignments())
+    assert (fused is not None) == agree
+    if fused is None:
+        return
+    searched = resolver._search_orders(versions, candidates, current, _Assignments())
+    assert searched is not None
+    assignment, f_score, conflicted, substitutions = fused
+    assert assignment == searched[0]
+    assert conflicted == searched[2] == frozenset()
+    assert substitutions == searched[3] == 0
+    assert f_score == pytest.approx(searched[1], rel=1e-12, abs=0.0)
+    # the resolver's entry point takes the one-pass fusion
+    assert resolver._fuse_signature(versions, candidates, current, _Assignments()) == fused
 
 
 def test_dedup_removes_exact_duplicates():

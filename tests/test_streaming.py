@@ -8,12 +8,17 @@ configuration — for pure inserts, and after updates and deletes as well.
 
 from __future__ import annotations
 
+import json
+import random
+import re
+
 import pytest
 
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
 from repro.errors.injector import ErrorSpec
+from repro.metrics.component import StageCounts
 from repro.streaming import (
     Delete,
     DeltaBatch,
@@ -400,3 +405,79 @@ def test_streaming_cumulative_report():
     assert report.accuracy is not None
     assert report.runtime > 0.0
     assert engine.batches_applied == 3
+
+
+def _perturb_revert_pairs(engine, attribute, pairs, per_tick=5, seed=3):
+    """Apply ``pairs`` (perturb, revert) update-tick pairs on ``attribute``."""
+    rng = random.Random(seed)
+    domain = sorted({engine.dirty.value(tid, attribute) for tid in engine.dirty.tids})
+    reports = []
+    for _ in range(pairs):
+        chosen = rng.sample(engine.dirty.tids, per_tick)
+        loaded = {tid: engine.dirty.value(tid, attribute) for tid in chosen}
+        perturb = DeltaBatch(
+            [
+                Update(tid, {attribute: rng.choice([v for v in domain if v != loaded[tid]])})
+                for tid in chosen
+            ]
+        )
+        revert = DeltaBatch([Update(tid, {attribute: loaded[tid]}) for tid in chosen])
+        reports += [engine.apply_batch(perturb), engine.apply_batch(revert)]
+    return reports
+
+
+def test_streaming_state_stays_bounded_over_ticks():
+    """The cumulative totals hold counters only: a snapshot after 50
+    perturb/revert pairs has the shape (and, numbers aside, the length) of
+    one after a single pair, and the cumulative counts are the sum of the
+    per-tick ones."""
+    source = WorkloadStreamSource(
+        "hai", tuples=200, batch_size=100, error_spec=ErrorSpec(error_rate=0.1)
+    )
+    engine = StreamingMLNClean(
+        source.rules, source.schema, config=MLNCleanConfig(abnormal_threshold=3)
+    )
+    reports = engine.consume(source)
+
+    def snapshot_shape() -> str:
+        # counters gain digits as ticks accumulate; everything else must not grow
+        return re.sub(r"\d+", "0", json.dumps(engine.state_dict()))
+
+    reports += _perturb_revert_pairs(engine, "CountyName", 1)
+    after_one = snapshot_shape()
+    reports += _perturb_revert_pairs(engine, "CountyName", 49, seed=4)
+    assert sum(len(report.agp.merges) + len(report.rsc.repairs) for report in reports)
+    assert len(snapshot_shape()) == len(after_one)
+
+    cumulative = engine.report()
+    for stage in ("agp", "rsc"):
+        total = StageCounts()
+        for report in reports:
+            total = total.merge(getattr(report, stage).counts)
+        assert getattr(cumulative, stage).counts.as_dict() == total.as_dict()
+    assert any(cumulative.agp.counts.as_dict().values())
+    assert cumulative.agp.merges == [] and cumulative.rsc.repairs == []
+
+
+def test_restore_reads_snapshots_that_carry_outcome_lists():
+    """Snapshots written while the totals kept every merge and repair still
+    restore (snapshot format 1); the lists are dropped on the way in."""
+    source = WorkloadStreamSource(
+        "hai", tuples=200, batch_size=100, error_spec=ErrorSpec(error_rate=0.1)
+    )
+    config = MLNCleanConfig(abnormal_threshold=3)
+    engine = StreamingMLNClean(source.rules, source.schema, config=config)
+    reports = engine.consume(source)
+    state = json.loads(json.dumps(engine.state_dict()))
+    legacy = json.loads(json.dumps(state))
+    legacy["agp_total"]["merges"] = [
+        merge.as_json_dict() for report in reports for merge in report.agp.merges
+    ]
+    legacy["rsc_total"]["repairs"] = [
+        repair.as_json_dict() for report in reports for repair in report.rsc.repairs
+    ]
+    assert legacy["agp_total"]["merges"] and legacy["rsc_total"]["repairs"]
+    restored = StreamingMLNClean(source.rules, source.schema, config=config)
+    restored.restore_state(legacy)
+    assert restored.state_dict() == state
+    assert restored.cleaned.equals(engine.cleaned)
